@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from .errors import ToricError
 from .fan import classify_semi_fano
+from .homology import unit_vector
 from .laurent import canonical_string, qpoly_string
 from .potential import bulk_superpotential, hori_vafa, superpotential
 from .quantum import QHElement, quantum_sr_relations
@@ -78,8 +79,7 @@ def cmd_superpotential(args) -> int:
 def cmd_psi(args) -> int:
     fan, spec = _load(args.file)
     for i in range(1, fan.d + 1):
-        unit = tuple(1 if a == i - 1 else 0 for a in range(fan.d))
-        print(f"psi(D{i}) = {canonical_string(psi_divisor(spec, unit))}")
+        print(f"psi(D{i}) = {canonical_string(psi_divisor(spec, unit_vector(fan.d, i)))}")
     return 0
 
 

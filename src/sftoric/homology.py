@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 from typing import Sequence
 
 from .errors import IsP2, SingularPairing
@@ -74,23 +75,53 @@ def unit_vector(d: int, i: int) -> Vector:
     return tuple(1 if a == i - 1 else 0 for a in range(d))
 
 
-def _solve(matrix: list[list[Fraction]], rhs: list[list[Fraction]]):
-    """Gauss-Jordan solve M X = B over Fractions; None if M is singular."""
-    n = len(matrix)
-    aug = [list(map(Fraction, matrix[r])) + list(map(Fraction, rhs[r])) for r in range(n)]
-    width = len(aug[0])
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+def solve_linear(matrix: Sequence[Sequence], rhs: Sequence[Sequence]):
+    """Gauss-Jordan elimination of M X = B with exact rational entries.
+
+    M is n x m of any rank and B is n x c (c may be zero).  Returns
+    (rank, solutions): solutions[j] is a Fraction solution x of
+    M x = B[:, j] with every free unknown set to zero, or None when that
+    column is inconsistent.  Each row of [M | B] is scaled to integers and
+    eliminated fraction-free, divided by the gcd of its entries after every
+    step; zero entries are skipped, so sparse systems stay cheap.
+    """
+    n, m = len(matrix), len(matrix[0])
+    aug = []
+    for r in range(n):
+        vals = [Fraction(a) for a in (*matrix[r], *rhs[r])]
+        scale = lcm(*(v.denominator for v in vals))
+        aug.append([v.numerator * (scale // v.denominator) for v in vals])
+    pivots: list[int] = []
+    for col in range(m):
+        top = len(pivots)
+        piv = next((r for r in range(top, n) if aug[r][col]), None)
         if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [a * inv for a in aug[col]]
+            continue
+        aug[top], aug[piv] = aug[piv], aug[top]
+        p = aug[top][col]
+        nonzero = [(c, v) for c, v in enumerate(aug[top]) if v]
         for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:width] for row in aug]
+            f = aug[r][col]
+            if r != top and f:
+                row = [a * p for a in aug[r]]
+                for c, v in nonzero:
+                    row[c] -= f * v
+                g = gcd(*row)
+                aug[r] = [a // g for a in row] if g > 1 else row
+        pivots.append(col)
+        if len(pivots) == n:
+            break
+    rank = len(pivots)
+    solutions = []
+    for j in range(m, len(aug[0])):
+        if any(aug[r][j] for r in range(rank, n)):
+            solutions.append(None)
+            continue
+        x = [Fraction(0)] * m
+        for r, col in enumerate(pivots):
+            x[col] = Fraction(aug[r][j], aug[r][col])
+        solutions.append(x)
+    return rank, solutions
 
 
 def _independent_mod_relations(fan: Fan, subset: Sequence[int]) -> bool:
@@ -100,8 +131,8 @@ def _independent_mod_relations(fan: Fan, subset: Sequence[int]) -> bool:
     cols = [unit_vector(d, i) for i in subset] + [l1, l2]
     if len(cols) != d:
         return False
-    mat = [[Fraction(cols[c][r]) for c in range(d)] for r in range(d)]
-    return _solve(mat, [[Fraction(0)] for _ in range(d)]) is not None
+    mat = [[cols[c][r] for c in range(d)] for r in range(d)]
+    return solve_linear(mat, [()] * d)[0] == d
 
 
 def dual_bases(fan: Fan, subset: Sequence[int] | None = None):
@@ -127,15 +158,15 @@ def dual_bases(fan: Fan, subset: Sequence[int] | None = None):
     subset = tuple(subset)
     basis = [unit_vector(d, i) for i in subset]
     n = len(subset)
-    gram = [[Fraction(intersection(fan, a, b)) for b in subset] for a in subset]
-    inv = _solve(gram, [[Fraction(1) if r == c else Fraction(0) for c in range(n)] for r in range(n)])
-    if inv is None:
+    gram = [[intersection(fan, a, b) for b in subset] for a in subset]
+    rank, inv = solve_linear(gram, [unit_vector(n, r) for r in range(1, n + 1)])
+    if rank < n:
         raise SingularPairing(f"Gram matrix of {subset} is singular")
     dual = []
     for b in range(n):
         vec = [Fraction(0)] * d
         for a in range(n):
-            vec[subset[a] - 1] += inv[a][b]
+            vec[subset[a] - 1] += inv[b][a]
         dual.append(tuple(vec))
     return basis, dual
 

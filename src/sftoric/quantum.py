@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .disks import admissible_sequences
-from .errors import IsP2, NotPrimitivePair, WrongChern
+from .errors import IsP2, NotPrimitivePair, NotSemiFano, WrongChern
 from .fan import Fan
 from .homology import (
     chern_number,
@@ -192,6 +192,8 @@ def quantum_product(
     d = fan.d
     if d == 3:
         raise IsP2("quantum Stanley-Reisner data is not computed for P^2")
+    if not fan.is_semi_fano():
+        raise NotSemiFano("the curve class enumeration requires a semi-Fano surface")
     i0, j0 = (i - 1) % d + 1, (j - 1) % d + 1
     if i0 == j0 or (i0 - j0) % d in (1, d - 1):
         raise NotPrimitivePair(f"rays {i0}, {j0} span a cone")
@@ -226,5 +228,8 @@ def quantum_product(
 
 
 def quantum_sr_relations(fan: Fan, spec: KahlerSpec):
-    """The quantum expansion of D_i D_j for every primitive pair."""
+    """The quantum expansion of D_i D_j for every primitive pair.
+
+    Raises NotSemiFano (through quantum_product) off the semi-Fano range.
+    """
     return [(pr, quantum_product(fan, spec, pr[0], pr[1])) for pr in primitive_pairs(fan)]

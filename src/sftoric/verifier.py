@@ -2,13 +2,26 @@
 
 The map psi sends a divisor class D to sum_b (D.b) Z_b over the admissible
 Maslov index two classes (the open divisor equation), and the identity
-psi(sum_i v_i^j D_i) = z_j dW/dz_j is checked symbolically in the q_l.  Each
-quantum Stanley-Reisner relation is then checked by exact ideal membership:
-psi(D_i) psi(D_j) - psi(D_i * D_j) must lie in <d_1 W, d_2 W> inside the
-Laurent ring, which is realized as Q[z1, z2, u] / (u z1 z2 - 1) and decided
-with a Groebner basis over exact rationals.  The vector-space dimension of
-the Jacobian ring at the sampled parameters is the number of standard
-monomials and must equal the rank of H*(X), i.e. the number of rays.
+psi(sum_i v_i^j D_i) = z_j dW/dz_j is checked symbolically in the q_l.  The
+remaining two checks run at one exact rational q-sample, each with evidence
+the package checks itself:
+
+* Membership.  Every quantum Stanley-Reisner relation
+  p = psi(D_i) psi(D_j) - psi(D_i * D_j) must lie in the Jacobian ideal
+  <g1, g2>, g_j = z_j dW/dz_j, of the Laurent ring.  Cofactors a, b with
+  p = a g1 + b g2 are sought on the lattice points of the Newton polygon
+  Delta = conv(rays) of W (for a semi-Fano fan: the origin and the rays) by
+  one exact elimination for all relations of a surface, and each solution
+  is accepted only after Laurent arithmetic re-checks it.
+* Dimension.  By Kouchnirenko's theorem (Polyedres de Newton et nombres de
+  Milnor, 1976) dim Jac(W) = 2 area(Delta) when W is nondegenerate on every
+  edge of Delta, i.e. every edge polynomial f has gcd(f, f') = 1; for a
+  smooth fan 2 area(Delta) = d, the rank of H*(X).
+
+A relation without a certificate, or a degenerate edge, sends that sample to
+a Groebner basis over Q[z1, z2, u] / (u z1 z2 - 1), so every verdict is the
+one the Groebner computation gives.  sympy is imported only there; the
+Groebner routines also stay as the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -17,16 +30,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from sympy import QQ, Poly, Rational, groebner, symbols
-
-from .errors import InfiniteDimensional, IsP2
-from .homology import linear_relations, pair
+from .errors import InfiniteDimensional, IsP2, NotSemiFano
+from .fan import Fan, det
+from .homology import linear_relations, pair, solve_linear, unit_vector
 from .kahler import KahlerSpec
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, QPoly
 from .potential import superpotential
 from .quantum import QHElement, primitive_pairs, quantum_sr_relations
-
-_Z1, _Z2, _U = symbols("z1 z2 u")
 
 
 @dataclass
@@ -36,10 +46,13 @@ class JacobianIdeal:
     g1: LaurentPoly
     g2: LaurentPoly
 
+    @staticmethod
+    def of(w: LaurentPoly) -> "JacobianIdeal":
+        return JacobianIdeal(w.log_derivative(1), w.log_derivative(2))
+
 
 def jacobian_ideal(spec: KahlerSpec) -> JacobianIdeal:
-    w = superpotential(spec).w
-    return JacobianIdeal(w.log_derivative(1), w.log_derivative(2))
+    return JacobianIdeal.of(superpotential(spec).w)
 
 
 def psi_divisor(spec: KahlerSpec, D: Sequence) -> LaurentPoly:
@@ -61,12 +74,10 @@ def psi_divisor(spec: KahlerSpec, D: Sequence) -> LaurentPoly:
 def psi_qh(spec: KahlerSpec, el: QHElement) -> LaurentPoly:
     """psi of a scalar + divisor element: psi(1) = 1 on the scalar part."""
     out = LaurentPoly(spec.k, {(0, 0): el.scalar})
-    fan = spec.fan
     for coord, c in enumerate(el.divisor, start=1):
         if c.is_zero():
             continue
-        unit = tuple(1 if a == coord - 1 else 0 for a in range(fan.d))
-        out = out + psi_divisor(spec, unit).scale(c)
+        out = out + psi_divisor(spec, unit_vector(spec.fan.d, coord)).scale(c)
     return out
 
 
@@ -77,16 +88,135 @@ def verify_linear_identity(spec: KahlerSpec) -> bool:
     return psi_divisor(spec, l1) == ideal.g1 and psi_divisor(spec, l2) == ideal.g2
 
 
-# --- Groebner machinery over Q[z1, z2, u], u = (z1 z2)^(-1) ---
+# --- certificates at a q-sample; every polynomial here is specialized (k = 0) ---
 
 
-def _to_poly(p: LaurentPoly) -> Poly:
+def _value(qp: QPoly) -> Fraction:
+    return qp.specialize(())
+
+
+def cofactor_certificates(
+    fan: Fan, ideal: JacobianIdeal, polys: Sequence[LaurentPoly]
+) -> list[tuple[LaurentPoly, LaurentPoly] | None]:
+    """Cofactors (a, b) with p = a g1 + b g2 for each p, or None.
+
+    The unknowns are the coefficients of a and b on the lattice points of
+    Delta = conv(rays), i.e. the origin and the rays of a semi-Fano fan; one
+    row per monomial, one right-hand side per p, one elimination for all.
+    A solution is returned only after a * g1 + b * g2 == p is re-checked.
+    """
+    support = [(0, 0), *fan.rays]
+    n = len(support)
+    rows: dict[tuple[int, int], int] = {}
+    entries: dict[tuple[int, int], Fraction] = {}
+    for half, g in enumerate((ideal.g1, ideal.g2)):
+        for col, s in enumerate(support, start=half * n):
+            for e, c in g.terms.items():
+                row = rows.setdefault((s[0] + e[0], s[1] + e[1]), len(rows))
+                entries[row, col] = _value(c)
+    targets: dict[tuple[int, int], Fraction] = {}
+    for col, p in enumerate(polys):
+        for m, c in p.terms.items():
+            targets[rows.setdefault(m, len(rows)), col] = _value(c)
+    matrix = [[0] * (2 * n) for _ in rows]
+    for (row, col), v in entries.items():
+        matrix[row][col] = v
+    rhs = [[0] * len(polys) for _ in rows]
+    for (row, col), v in targets.items():
+        rhs[row][col] = v
+    _, solutions = solve_linear(matrix, rhs)
+    out = []
+    for p, x in zip(polys, solutions):
+        cert = None
+        if x is not None:
+            a = LaurentPoly(0, {s: QPoly.constant(0, v) for s, v in zip(support, x[:n])})
+            b = LaurentPoly(0, {s: QPoly.constant(0, v) for s, v in zip(support, x[n:])})
+            if a * ideal.g1 + b * ideal.g2 == p:
+                cert = (a, b)
+        out.append(cert)
+    return out
+
+
+def _squarefree(f: list[Fraction]) -> bool:
+    """gcd(f, f') = 1 for f = sum_t f[t] x^t with f[-1] != 0 (Euclid over Q)."""
+    a, b = f, [t * c for t, c in enumerate(f)][1:]
+    while b:
+        a, b = b, list(a)
+        while len(b) >= len(a):
+            lead = b[-1] / a[-1]
+            shift = len(b) - len(a)
+            for i, c in enumerate(a):
+                b[shift + i] -= lead * c
+            while b and not b[-1]:
+                b.pop()
+    return len(a) == 1
+
+
+def newton_dimension(fan: Fan, w: LaurentPoly) -> int | None:
+    """dim Jac(W) = 2 area(Delta) by Kouchnirenko's theorem, or None.
+
+    W must be supported on the lattice points of Delta = conv(rays), so that
+    Delta is its Newton polygon with the origin inside.  The edges of Delta
+    run between consecutive rays with D^2 != -2 (a (-2)-ray is the midpoint
+    of its neighbours), and the edge polynomial sum_t c_t x^t takes c_t from
+    the t-th ray along the edge.  None when an end coefficient vanishes or
+    an edge polynomial has a repeated root (W is degenerate there).
+    """
+    if not fan.is_semi_fano():
+        raise NotSemiFano("the Newton polygon argument requires a semi-Fano surface")
+    if not set(w.terms) <= {(0, 0), *fan.rays}:
+        return None
+    corners = [i for i in range(1, fan.d + 1) if fan.self_intersection(i) != -2]
+    for a, b in zip(corners, corners[1:] + [corners[0] + fan.d]):
+        f = [_value(w.coefficient(fan.ray(i))) for i in range(a, b + 1)]
+        if not (f[0] and f[-1] and _squarefree(f)):
+            return None
+    return sum(det(fan.ray(i), fan.ray(i + 1)) for i in range(1, fan.d + 1))
+
+
+def ideal_membership(
+    fan: Fan, ideal: JacobianIdeal, polys: Sequence[LaurentPoly]
+) -> tuple[list[bool], int]:
+    """Is each p in the ideal?  Certificates first, Groebner for the rest.
+
+    Returns the verdicts and how many of them the Groebner fallback decided.
+    """
+    certs = cofactor_certificates(fan, ideal, polys)
+    fallbacks = certs.count(None)
+    G = _groebner_basis(ideal, (), "grevlex") if fallbacks else None
+    verdicts = [
+        cert is not None or bool(G.contains(_to_poly(p))) for p, cert in zip(polys, certs)
+    ]
+    return verdicts, fallbacks
+
+
+def _dimension(fan: Fan, w: LaurentPoly, order: str) -> tuple[int, bool]:
+    """dim Jac(W) and whether the Groebner fallback decided it."""
+    dim = newton_dimension(fan, w)
+    if dim is not None:
+        return dim, False
+    return _standard_monomial_count(_groebner_basis(JacobianIdeal.of(w), (), order), order), True
+
+
+# --- Groebner machinery over Q[z1, z2, u], u = (z1 z2)^(-1); the fallback and
+# the reference, and the only code that imports sympy ---
+
+
+def _gens():
+    from sympy import symbols
+
+    return symbols("z1 z2 u")
+
+
+def _to_poly(p: LaurentPoly):
     """Clear denominators of a specialized (k = 0) Laurent polynomial.
 
     z1^e1 z2^e2 = z1^(e1+m) z2^(e2+m) u^m with m = max(0, -e1, -e2); the map
     (e1, e2) -> exponent triple is injective, monomials are units, so
     membership statements are unchanged.
     """
+    from sympy import QQ, Poly, Rational
+
     terms = {}
     for (e1, e2), qp in p.terms.items():
         c = qp.specialize(())
@@ -94,16 +224,19 @@ def _to_poly(p: LaurentPoly) -> Poly:
         terms[(e1 + m, e2 + m, m)] = Rational(c.numerator, c.denominator)
     if not terms:
         terms = {(0, 0, 0): Rational(0)}
-    return Poly.from_dict(terms, _Z1, _Z2, _U, domain=QQ)
+    return Poly.from_dict(terms, *_gens(), domain=QQ)
 
 
 def _groebner_basis(ideal: JacobianIdeal, qvals: Sequence[Fraction], order: str):
+    from sympy import QQ, Poly, groebner
+
+    z1, z2, u = _gens()
     gens = [
         _to_poly(ideal.g1.specialize_q(qvals)),
         _to_poly(ideal.g2.specialize_q(qvals)),
-        Poly(_U * _Z1 * _Z2 - 1, _Z1, _Z2, _U, domain=QQ),
+        Poly(u * z1 * z2 - 1, z1, z2, u, domain=QQ),
     ]
-    return groebner(gens, _Z1, _Z2, _U, order=order, domain=QQ)
+    return groebner(gens, z1, z2, u, order=order, domain=QQ)
 
 
 def groebner_membership(
@@ -142,10 +275,13 @@ def _standard_monomial_count(G, order: str) -> int:
 
 
 def jac_dimension(spec: KahlerSpec, qvals: Sequence, order: str = "grevlex") -> int:
-    """dim of the Laurent Jacobian ring at exact rational q values."""
-    qvals = [Fraction(v) for v in qvals]
-    G = _groebner_basis(jacobian_ideal(spec), qvals, order)
-    return _standard_monomial_count(G, order)
+    """dim of the Laurent Jacobian ring at exact rational q values.
+
+    2 area(Delta) when W is nondegenerate on every edge, else the number of
+    standard monomials of a Groebner basis in the given order.
+    """
+    w = superpotential(spec).w.specialize_q(qvals)
+    return _dimension(spec.fan, w, order)[0]
 
 
 # --- the end-to-end report ---
@@ -160,7 +296,13 @@ def default_q_sample(k: int, shift: int = 0) -> tuple[Fraction, ...]:
 
 @dataclass
 class VerificationReport:
-    """Line-oriented record of the QH = Jac verification for one surface."""
+    """Line-oriented record of the QH = Jac verification for one surface.
+
+    ``membership_fallbacks`` counts the relations of the final sample that
+    had no certificate and ``dimension_fallback`` says whether an edge was
+    degenerate there; both sent that check to a Groebner basis.  The text
+    form does not show them.
+    """
 
     surface: str
     q_sample: tuple[Fraction, ...]
@@ -169,6 +311,8 @@ class VerificationReport:
     dimension: int | None
     expected_dimension: int
     samples_tried: list[tuple[Fraction, ...]] = field(default_factory=list)
+    membership_fallbacks: int = 0
+    dimension_fallback: bool = False
 
     @property
     def passed(self) -> bool:
@@ -212,12 +356,12 @@ def verify_homomorphism(
         raise IsP2("quantum Stanley-Reisner verification excludes P^2")
     auto = qvals is None
     linear_ok = verify_linear_identity(spec)
-    ideal = jacobian_ideal(spec)
+    w = superpotential(spec).w
     pairs = primitive_pairs(fan)
     memberships = []
     for (i, j), el in quantum_sr_relations(fan, spec):
-        lhs = psi_divisor(spec, tuple(1 if a == i - 1 else 0 for a in range(fan.d)))
-        rhs = psi_divisor(spec, tuple(1 if a == j - 1 else 0 for a in range(fan.d)))
+        lhs = psi_divisor(spec, unit_vector(fan.d, i))
+        rhs = psi_divisor(spec, unit_vector(fan.d, j))
         memberships.append(((i, j), lhs * rhs - psi_qh(spec, el)))
     tried = []
     report = None
@@ -226,23 +370,23 @@ def verify_homomorphism(
             Fraction(v) for v in qvals
         )
         tried.append(sample)
-        G = _groebner_basis(ideal, sample, "grevlex")
-        relations = [
-            (pr, bool(G.contains(_to_poly(p.specialize_q(sample)))))
-            for pr, p in memberships
-        ]
+        w_at = w.specialize_q(sample)
+        polys = [p.specialize_q(sample) for _, p in memberships]
+        verdicts, fallbacks = ideal_membership(fan, JacobianIdeal.of(w_at), polys)
         try:
-            dimension = _standard_monomial_count(G, "grevlex")
+            dimension, dimension_fallback = _dimension(fan, w_at, "grevlex")
         except InfiniteDimensional:
-            dimension = None
+            dimension, dimension_fallback = None, True
         report = VerificationReport(
             surface=spec.name or f"{fan.d}-ray surface",
             q_sample=sample,
             linear_identity=linear_ok,
-            relations=relations,
+            relations=[(pr, ok) for (pr, _), ok in zip(memberships, verdicts)],
             dimension=dimension,
             expected_dimension=fan.d,
             samples_tried=list(tried),
+            membership_fallbacks=fallbacks,
+            dimension_fallback=dimension_fallback,
         )
         if report.passed:
             break

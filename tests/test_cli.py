@@ -113,6 +113,19 @@ def test_cli_verify(capsys):
     assert "q-sample q1=1/3 q2=1/5" in out
 
 
+def test_cli_rejects_non_semi_fano(tmp_path, capsys):
+    f3 = tmp_path / "f3.fan"
+    f3.write_text(
+        "surface F3\nparams 2\nray 1 0 : 0 0\nray 0 1 : 0 0\n"
+        "ray -1 3 : 1 0\nray 0 -1 : 0 1\n"
+    )
+    for command in ("qh", "superpotential", "psi", "verify"):
+        rc, out, err = run(capsys, command, str(f3))
+        assert rc == 2, command
+        assert out == "", command
+        assert "semi-Fano" in err, command
+
+
 def test_cli_verify_p2(capsys):
     rc, out, _ = run(capsys, "verify", "P2")
     assert rc == 0

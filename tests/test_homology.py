@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -14,6 +15,7 @@ from sftoric.homology import (
     pair,
     profile,
     reduce_class,
+    solve_linear,
     unit_vector,
 )
 
@@ -122,3 +124,19 @@ def test_reduce_class_properties(bundled):
             )
             assert reduce_class(fan, x) == reduce_class(fan, shifted), name
             assert profile(fan, x) == profile(fan, reduce_class(fan, x)), name
+
+
+def test_solve_linear_rectangular_rank_deficient():
+    # rows 1 and 2 are dependent: rank 2 of 3 rows, two unknowns
+    matrix = [[1, 2], [2, 4], [0, Fraction(1, 3)]]
+    rhs = [[1, 1, 0], [2, 3, 0], [1, 0, 0]]
+    rank, sols = solve_linear(matrix, rhs)
+    assert rank == 2
+    assert sols[0] == [Fraction(-5), Fraction(3)]
+    assert sols[1] is None  # 2 * (row 1) != row 2 on this column
+    assert sols[2] == [0, 0]
+    # a free unknown is set to zero
+    rank, sols = solve_linear([[1, 1, 1]], [[Fraction(3, 2)]])
+    assert rank == 1 and sols == [[Fraction(3, 2), 0, 0]]
+    # no right-hand side: the rank alone
+    assert solve_linear([[0, 0], [0, 0]], [(), ()]) == (0, [])

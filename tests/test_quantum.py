@@ -1,7 +1,8 @@
 import pytest
 
-from sftoric.errors import IsP2, NotPrimitivePair, WrongChern
+from sftoric.errors import IsP2, NotPrimitivePair, NotSemiFano, WrongChern
 from sftoric.fan import Fan, P2_RAYS
+from sftoric.kahler import KahlerSpec
 from sftoric.laurent import QPoly
 from sftoric.quantum import (
     c1_one_classes,
@@ -134,6 +135,17 @@ def test_quantum_product_errors(bundled):
     p2fan, p2spec = bundled["P2"]
     with pytest.raises(IsP2):
         quantum_product(p2fan, p2spec, 1, 2)
+
+
+def test_quantum_products_reject_non_semi_fano():
+    # the Hirzebruch surface F3 has D4^2 = -3; its curve classes are not the
+    # ones the enumeration knows, so no product may be printed for it
+    fan = Fan(((1, 0), (0, 1), (-1, 3), (0, -1)))
+    spec = KahlerSpec(fan, 2, ((0, 0), (0, 0), (1, 0), (0, 1)), name="F3")
+    with pytest.raises(NotSemiFano):
+        quantum_product(fan, spec, 2, 4)
+    with pytest.raises(NotSemiFano):
+        quantum_sr_relations(fan, spec)
 
 
 def test_quantum_product_basis_independence(bundled):

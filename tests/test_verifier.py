@@ -1,24 +1,77 @@
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from appendix_data import X3_PSI, build_signed
 from sftoric.errors import IsP2
+from sftoric.fan import Fan
 from sftoric.homology import linear_relations, unit_vector
+from sftoric.kahler import KahlerSpec
 from sftoric.laurent import LaurentPoly, QPoly
-from sftoric.potential import z_beta
+from sftoric.potential import superpotential, z_beta
 from sftoric.disks import DiskClass
 from sftoric.quantum import quantum_product
+from sftoric.surfaces import BUNDLED, load_bundled
 from sftoric.verifier import (
+    JacobianIdeal,
+    _dimension,
+    _groebner_basis,
+    _standard_monomial_count,
+    cofactor_certificates,
     default_q_sample,
     groebner_membership,
+    ideal_membership,
     jac_dimension,
     jacobian_ideal,
+    newton_dimension,
     psi_divisor,
     psi_qh,
     verify_homomorphism,
     verify_linear_identity,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# GL(2, Z) generators: two rotations, a reflection and the four unit shears
+GENERATORS = {
+    "S": ((0, -1), (1, 0)),
+    "R": ((1, -1), (1, 0)),
+    "F": ((0, 1), (1, 0)),
+    "T": ((1, 1), (0, 1)),
+    "U": ((1, 0), (1, 1)),
+    "T-1": ((1, -1), (0, 1)),
+    "U-1": ((1, 0), (-1, 1)),
+}
+
+
+def presentation(name, M, shift=0, U=None):
+    """The bundled surface with rays M v, isomorphic to it over the lattice.
+
+    A reflection reverses the ray order to keep it counterclockwise; the rows
+    are relabelled cyclically by shift and the polytope is translated by U t
+    (U a 2 x k integer matrix, zero by default).
+    """
+    fan, spec = load_bundled(name)
+    U = U or ((0,) * spec.k, (0,) * spec.k)
+    pairs = []
+    for (a, b), row in zip(fan.rays, spec.rows):
+        w = (M[0][0] * a + M[0][1] * b, M[1][0] * a + M[1][1] * b)
+        pairs.append((w, [c - w[0] * u0 - w[1] * u1 for c, u0, u1 in zip(row, *U)]))
+    if M[0][0] * M[1][1] - M[0][1] * M[1][0] < 0:
+        pairs.reverse()
+    pairs = pairs[shift:] + pairs[:shift]
+    rays, rows = zip(*pairs)
+    return KahlerSpec(Fan(rays), spec.k, rows, name=name)
+
+
+def specialized(p, spec):
+    return p.specialize_q(default_q_sample(spec.k))
 
 
 def unit(d, i):
@@ -188,3 +241,146 @@ def test_infinite_dimensional_detected():
     G = _groebner_basis(JacobianIdeal(g, g), (), "grevlex")
     with pytest.raises(InfiniteDimensional):
         _standard_monomial_count(G, "grevlex")
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_newton_dimension_matches_groebner_reference(name):
+    # Kouchnirenko's count against the standard monomials of a Groebner
+    # basis, on the surface and on its image under every generator
+    for M in (((1, 0), (0, 1)), *GENERATORS.values()):
+        spec = presentation(name, M)
+        sample = default_q_sample(spec.k)
+        G = _groebner_basis(jacobian_ideal(spec), sample, "grevlex")
+        reference = _standard_monomial_count(G, "grevlex")
+        w = specialized(superpotential(spec).w, spec)
+        assert newton_dimension(spec.fan, w) == reference == spec.fan.d, M
+        assert jac_dimension(spec, sample) == reference, M
+
+
+def test_degenerate_edge_takes_the_groebner_fallback(bundled):
+    # on X1 the edge through the (-2)-ray (0,-1) carries 1 + c x + x^2,
+    # which has a double root for c = 2; two critical points then escape to
+    # infinity and the Jacobian ring drops to dimension 2
+    fan = bundled["X1"][0]
+    assert fan.self_intersection(4) == -2
+
+    def w(c):
+        terms = {(1, 0): 1, (0, 1): 1, (0, -1): c, (-1, -2): 1}
+        return LaurentPoly(0, {ze: QPoly.constant(0, v) for ze, v in terms.items()})
+
+    assert newton_dimension(fan, w(3)) == 4
+    assert _dimension(fan, w(3), "grevlex") == (4, False)
+    assert newton_dimension(fan, w(2)) is None
+    assert _dimension(fan, w(2), "grevlex") == (2, True)
+    G = _groebner_basis(JacobianIdeal.of(w(2)), (), "grevlex")
+    assert _standard_monomial_count(G, "grevlex") == 2
+    # W off the lattice points of the polygon is left to the fallback too
+    assert newton_dimension(fan, w(3) + LaurentPoly.monomial(0, (2, 0))) is None
+
+
+def test_sample_on_a_wall_takes_the_dimension_fallback(bundled):
+    # q3 = q1^2 gives the (-2)-curve D3 of X8 zero area: the sample lies on
+    # a wall of the Kahler cone, W is degenerate on the edge through v3 and
+    # the Groebner fallback finds two critical points fewer
+    fan, spec = bundled["X8"]
+    assert spec.edge_length(3).value_at((1, 1, 2, 1, 1, 1)) == 0
+    q = [Fraction(1, 2)] * 6
+    q[2] = Fraction(1, 4)
+    report = verify_homomorphism(spec, q)
+    assert report.dimension_fallback and report.dimension == 6
+    assert report.membership_fallbacks == 0
+    assert all(ok for _, ok in report.relations) and not report.passed
+
+
+def test_constant_has_no_certificate(bundled):
+    fan, spec = bundled["X3"]
+    ideal = JacobianIdeal.of(specialized(superpotential(spec).w, spec))
+    one = LaurentPoly.constant(0, 1)
+    certs = cofactor_certificates(fan, ideal, [one, ideal.g1])
+    assert certs[0] is None
+    a, b = certs[1]
+    assert a * ideal.g1 + b * ideal.g2 == ideal.g1
+    assert ideal_membership(fan, ideal, [one, ideal.g1]) == ([False, True], 1)
+    assert not groebner_membership(LaurentPoly.constant(spec.k, 1), jacobian_ideal(spec),
+                                   default_q_sample(spec.k))
+
+
+def test_certificates_agree_with_groebner_membership(bundled):
+    # every X3 relation has a certificate, and a perturbed relation has none
+    fan, spec = bundled["X3"]
+    sample = default_q_sample(spec.k)
+    ideal = jacobian_ideal(spec)
+    z1 = LaurentPoly.monomial(spec.k, (1, 0))
+    polys = []
+    for (i, j) in ((2, 4), (1, 3), (3, 6)):
+        p = psi_divisor(spec, unit(6, i)) * psi_divisor(spec, unit(6, j)) - psi_qh(
+            spec, quantum_product(fan, spec, i, j)
+        )
+        polys += [p, p + z1]
+    certs = cofactor_certificates(
+        fan, JacobianIdeal.of(specialized(superpotential(spec).w, spec)),
+        [specialized(p, spec) for p in polys],
+    )
+    for p, cert in zip(polys, certs):
+        assert (cert is not None) == groebner_membership(p, ideal, sample)
+    assert [cert is not None for cert in certs] == [True, False] * 3
+
+
+def test_bundled_verify_needs_no_fallback_nor_sympy():
+    # a fresh interpreter: importing the package and verifying every bundled
+    # surface must not load sympy, which only the fallback needs
+    code = """
+import json, sys
+from sftoric import BUNDLED, load_bundled, verify_homomorphism, verify_linear_identity
+out = {}
+for name in BUNDLED:
+    fan, spec = load_bundled(name)
+    if fan.d == 3:
+        out[name] = [verify_linear_identity(spec), 0, False, fan.d, fan.d]
+        continue
+    r = verify_homomorphism(spec)
+    out[name] = [r.passed, r.membership_fallbacks, r.dimension_fallback, r.dimension, fan.d]
+out["sympy loaded"] = "sympy" in sys.modules
+print(json.dumps(out))
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out.pop("sympy loaded") is False
+    assert set(out) == set(BUNDLED)
+    for name, (passed, fallbacks, dimension_fallback, dim, d) in out.items():
+        assert passed and fallbacks == 0 and not dimension_fallback and dim == d, name
+
+
+SHEARS = st.tuples(st.sampled_from("TU"), st.sampled_from((-2, -1, 1, 2)))
+
+
+@settings(max_examples=6, derandomize=True, database=None, deadline=None)
+@example(name="X8", word=[("T", 2), ("U", -2), ("T", 1), ("U", -1)], shift=0, entries=[0] * 16)
+@given(
+    name=st.sampled_from(BUNDLED[1:]),
+    word=st.lists(SHEARS, min_size=4, max_size=4),
+    shift=st.integers(0, 8),
+    entries=st.lists(st.sampled_from((-1, 0, 1)), min_size=16, max_size=16),
+)
+def test_multi_shear_presentations_verify(name, word, shift, entries):
+    # words of four shears sent the Groebner path past 100 s on X8; the
+    # certificates and the Newton polygon do not depend on the presentation
+    M = ((1, 0), (0, 1))
+    for kind, k in word:
+        G = ((1, k), (0, 1)) if kind == "T" else ((1, 0), (k, 1))
+        M = tuple(
+            tuple(sum(M[r][t] * G[t][c] for t in range(2)) for c in range(2))
+            for r in range(2)
+        )
+    fan, base = load_bundled(name)
+    U = (tuple(entries[: base.k]), tuple(entries[8 : 8 + base.k]))
+    spec = presentation(name, M, shift % fan.d, U)
+    report = verify_homomorphism(spec)
+    assert report.passed
+    assert report.dimension == spec.fan.d
+    assert report.membership_fallbacks == 0 and not report.dimension_fallback
