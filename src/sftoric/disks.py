@@ -25,7 +25,7 @@ from .fan import Fan, MinusTwoChain
 from .homology import chern_number
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DiskClass:
     """beta_i + sum_k alpha[k-1] D_k with a 1-based basic index i."""
 

@@ -218,15 +218,21 @@ def elimination_pair(fan: Fan):
 
 
 def reduce_class(fan: Fan, x: Sequence) -> Vector:
-    """Canonical representative of x modulo L_1, L_2 (zeroes the chosen pair)."""
+    """Canonical representative of x modulo L_1, L_2 (zeroes the chosen pair).
+
+    The entries may be rationals (int or Fraction; an integral result entry
+    comes back as an int) or QPoly coefficients, which reduce the same way.
+    """
     i, j, inv = elimination_pair(fan)
     l1, l2 = linear_relations(fan)
     xi, xj = x[i - 1], x[j - 1]
     lam1 = inv[0][0] * xi + inv[0][1] * xj
     lam2 = inv[1][0] * xi + inv[1][1] * xj
-    out = [Fraction(v) - lam1 * a - lam2 * b for v, a, b in zip(x, l1, l2)]
-    assert out[i - 1] == 0 and out[j - 1] == 0
-    return tuple(int(v) if v.denominator == 1 else v for v in out)
+    out = [v - lam1 * a - lam2 * b for v, a, b in zip(x, l1, l2)]
+    assert not out[i - 1] and not out[j - 1]
+    return tuple(
+        v.numerator if isinstance(v, Fraction) and v.denominator == 1 else v for v in out
+    )
 
 
 def classes_equal(fan: Fan, x: Sequence, y: Sequence) -> bool:

@@ -29,11 +29,11 @@ def z_beta(spec: KahlerSpec, b: DiskClass) -> LaurentPoly:
     """The monomial Z_b (a single Laurent term with a single q-monomial)."""
     base = spec.disk_coefficient(b.i)
     area = spec.q_exponent(spec.curve_area(b.alpha))
-    exps = tuple(x + y for x, y in zip(base, area))
+    exps = tuple(x + y for x, y in zip(base, area)) if any(area) else base
     return LaurentPoly.monomial(spec.k, spec.fan.ray(b.i), QPoly.monomial(spec.k, exps))
 
 
-@dataclass
+@dataclass(slots=True)
 class Superpotential:
     """The potential together with one provenance record per counted class."""
 

@@ -29,20 +29,12 @@ from typing import Sequence
 from .disks import admissible_sequences
 from .errors import IsP2, NotPrimitivePair, NotSemiFano, WrongChern
 from .fan import Fan
-from .homology import (
-    chern_number,
-    dual_bases,
-    elimination_pair,
-    fiber_classes,
-    linear_relations,
-    pair,
-    profile,
-)
+from .homology import chern_number, dual_bases, fiber_classes, profile, reduce_class
 from .kahler import KahlerSpec
 from .laurent import QPoly
 
 
-@dataclass
+@dataclass(slots=True)
 class QHElement:
     """scalar * 1 + sum_k divisor[k-1] * D_k with QPoly coefficients.
 
@@ -158,22 +150,63 @@ def gw_c1_1(fan: Fan, alpha: Sequence[int]) -> int:
     return 1 if any(profile(fan, rep) == target for rep in c1_one_classes(fan)) else 0
 
 
-def _q_area(spec: KahlerSpec, rep: Sequence[int]) -> QPoly:
-    return QPoly.monomial(spec.k, spec.q_exponent(spec.curve_area(rep)))
+def _curve_data(fan: Fan, spec: KahlerSpec, subset: Sequence[int] | None = None):
+    """What every product D_i * D_j of one surface shares.
+
+    Returns (two, one, dual): two holds (profile, q^area) for each c_1 = 2
+    class, one holds (profile, q^area, pairings with the basis) for each
+    c_1 = 1 class, and dual is the dual basis of ``dual_bases``.  All products
+    built from it share the exponent tuples of these q-monomials.
+    """
+
+    def q_area(rep):
+        return QPoly.monomial(spec.k, spec.q_exponent(spec.curve_area(rep)))
+
+    two = [(profile(fan, rep), q_area(rep)) for rep in c1_two_classes(fan)]
+    basis, dual = dual_bases(fan, subset)
+    one = []
+    for rep in c1_one_classes(fan):
+        prof = profile(fan, rep)
+        # pair(b, rep) = b . profile(rep) by the symmetry of the pairing
+        pairings = tuple(sum(x * p for x, p in zip(b, prof)) for b in basis)
+        one.append((prof, q_area(rep), pairings))
+    return two, one, dual
 
 
-def _reduce_qpoly_vector(fan: Fan, vec: list[QPoly]) -> tuple[QPoly, ...]:
-    i, j, inv = elimination_pair(fan)
-    l1, l2 = linear_relations(fan)
-    xi, xj = vec[i - 1], vec[j - 1]
-    lam1 = xi.scale(inv[0][0]) + xj.scale(inv[0][1])
-    lam2 = xi.scale(inv[1][0]) + xj.scale(inv[1][1])
-    out = []
-    for coord in range(fan.d):
-        c = vec[coord] - lam1.scale(l1[coord]) - lam2.scale(l2[coord])
-        out.append(c)
-    assert out[i - 1].is_zero() and out[j - 1].is_zero()
-    return tuple(out)
+def _check_supported(fan: Fan) -> None:
+    if fan.d == 3:
+        raise IsP2("quantum Stanley-Reisner data is not computed for P^2")
+    if not fan.is_semi_fano():
+        raise NotSemiFano("the curve class enumeration requires a semi-Fano surface")
+
+
+def _product(fan: Fan, k: int, data, i: int, j: int) -> QHElement:
+    """D_i * D_j from the shared curve data of ``_curve_data``."""
+    two, one, dual = data
+    zero = QPoly.zero(k)
+    scalar = zero
+    for prof, qa in two:
+        c = prof[i - 1] * prof[j - 1]
+        if c:
+            scalar = scalar + qa.scale(c)
+    vec = [zero] * fan.d
+    for prof, qa, pairings in one:
+        c = prof[i - 1] * prof[j - 1]
+        if not c:
+            continue
+        for m, p in enumerate(pairings):
+            if not p:
+                continue
+            contrib = qa.scale(c * p)
+            for coord, x in enumerate(dual[m]):
+                if x:
+                    vec[coord] = vec[coord] + contrib.scale(x)
+    divisor = reduce_class(fan, vec)
+    # the paper's hand-picked integral dual bases are a convenience; the
+    # reduced result itself must be integral
+    assert scalar.has_integer_coefficients()
+    assert all(c.has_integer_coefficients() for c in divisor)
+    return QHElement(scalar, divisor)
 
 
 def quantum_product(
@@ -189,47 +222,29 @@ def quantum_product(
               + sum_m ( sum_{c1(a)=1} (D_i.a)(D_j.a)(D^m.a) GW(a) q^a ) D_m
     with {D^m}, {D_m} dual bases of H^2 represented by divisors.
     """
+    _check_supported(fan)
     d = fan.d
-    if d == 3:
-        raise IsP2("quantum Stanley-Reisner data is not computed for P^2")
-    if not fan.is_semi_fano():
-        raise NotSemiFano("the curve class enumeration requires a semi-Fano surface")
     i0, j0 = (i - 1) % d + 1, (j - 1) % d + 1
     if i0 == j0 or (i0 - j0) % d in (1, d - 1):
         raise NotPrimitivePair(f"rays {i0}, {j0} span a cone")
-    scalar = QPoly.zero(spec.k)
-    for rep in c1_two_classes(fan):
-        prof = profile(fan, rep)
-        c = prof[i0 - 1] * prof[j0 - 1]
-        if c:
-            scalar = scalar + _q_area(spec, rep).scale(c)
-    basis, dual = dual_bases(fan, subset)
-    vec = [QPoly.zero(spec.k)] * d
-    for rep in c1_one_classes(fan):
-        prof = profile(fan, rep)
-        c = prof[i0 - 1] * prof[j0 - 1]
-        if not c:
-            continue
-        qa = _q_area(spec, rep)
-        for m in range(len(basis)):
-            weight = c * pair(fan, basis[m], rep)
-            if not weight:
-                continue
-            contrib = qa.scale(weight)
-            for coord in range(d):
-                if dual[m][coord]:
-                    vec[coord] = vec[coord] + contrib.scale(dual[m][coord])
-    divisor = _reduce_qpoly_vector(fan, vec)
-    # the paper's hand-picked integral dual bases are a convenience; the
-    # reduced result itself must be integral
-    assert scalar.has_integer_coefficients()
-    assert all(c.has_integer_coefficients() for c in divisor)
-    return QHElement(scalar, divisor)
+    return _product(fan, spec.k, _curve_data(fan, spec, subset), i0, j0)
 
 
 def quantum_sr_relations(fan: Fan, spec: KahlerSpec):
     """The quantum expansion of D_i D_j for every primitive pair.
 
-    Raises NotSemiFano (through quantum_product) off the semi-Fano range.
+    The curve classes, their q-monomials and the dual basis are built once
+    and shared by all pairs, and equal coefficients are one object.  Raises IsP2 on P^2 and NotSemiFano off the
+    semi-Fano range.
     """
-    return [(pr, quantum_product(fan, spec, pr[0], pr[1])) for pr in primitive_pairs(fan)]
+    pairs = primitive_pairs(fan)
+    _check_supported(fan)
+    data = _curve_data(fan, spec)
+    out = []
+    shared: dict[QPoly, QPoly] = {}  # one object per coefficient value
+    for pr in pairs:
+        el = _product(fan, spec.k, data, *pr)
+        scalar = shared.setdefault(el.scalar, el.scalar)
+        divisor = tuple(shared.setdefault(c, c) for c in el.divisor)
+        out.append((pr, QHElement(scalar, divisor)))
+    return out

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import InfiniteDimensional, IsP2, NotSemiFano
+from .errors import InfiniteDimensional, IsP2, NotSemiFano, OutOfRange
 from .fan import Fan, det
 from .homology import linear_relations, pair, solve_linear, unit_vector
 from .kahler import KahlerSpec
@@ -294,7 +294,7 @@ def default_q_sample(k: int, shift: int = 0) -> tuple[Fraction, ...]:
     return tuple(Fraction(1, p) for p in _PRIMES[shift : shift + k])
 
 
-@dataclass
+@dataclass(slots=True)
 class VerificationReport:
     """Line-oriented record of the QH = Jac verification for one surface.
 
@@ -342,6 +342,23 @@ class VerificationReport:
         return "\n".join(lines)
 
 
+def off_cone_edge(spec: KahlerSpec, qvals: Sequence[Fraction]) -> int | None:
+    """The first edge i whose q-monomial prod_l q_l^(L_il) is not < 1, or None.
+
+    L_i = spec.edge_length(i).  The sample is the image of a point of the
+    open Kahler cone exactly when every edge has positive area, i.e. every
+    such monomial is below one.
+    """
+    for i in range(1, spec.d + 1):
+        m = Fraction(1)
+        for q, e in zip(qvals, spec.edge_length(i).coeffs):
+            if e:
+                m *= Fraction(q) ** e
+        if m >= 1:
+            return i
+    return None
+
+
 def verify_homomorphism(
     spec: KahlerSpec, qvals: Sequence | None = None
 ) -> VerificationReport:
@@ -349,7 +366,10 @@ def verify_homomorphism(
 
     With qvals omitted, the default prime-reciprocal sample is used and a
     failed check or an infinite-dimensional quotient triggers resampling at
-    the next prime window (the report records every sample tried).
+    the next prime window, up to three windows (the report records every
+    sample tried); a window off the Kahler cone is skipped.  Explicit qvals
+    off the cone raise OutOfRange, naming the first edge whose q-monomial
+    is >= 1.
     """
     fan = spec.fan
     if fan.d == 3:
@@ -363,14 +383,22 @@ def verify_homomorphism(
         lhs = psi_divisor(spec, unit_vector(fan.d, i))
         rhs = psi_divisor(spec, unit_vector(fan.d, j))
         memberships.append(((i, j), lhs * rhs - psi_qh(spec, el)))
+    if auto:
+        samples = [default_q_sample(spec.k, attempt) for attempt in range(3)]
+    else:
+        samples = [tuple(Fraction(v) for v in qvals)]
     tried = []
     report = None
-    for attempt in range(3 if auto else 1):
-        sample = default_q_sample(spec.k, attempt) if auto else tuple(
-            Fraction(v) for v in qvals
-        )
-        tried.append(sample)
+    for sample in samples:
         w_at = w.specialize_q(sample)
+        edge = off_cone_edge(spec, sample)
+        if edge is not None:
+            if auto:
+                continue
+            raise OutOfRange(
+                f"the q-sample lies off the Kahler cone: edge {edge} has q-monomial >= 1"
+            )
+        tried.append(sample)
         polys = [p.specialize_q(sample) for _, p in memberships]
         verdicts, fallbacks = ideal_membership(fan, JacobianIdeal.of(w_at), polys)
         try:
@@ -390,5 +418,7 @@ def verify_homomorphism(
         )
         if report.passed:
             break
-    assert report is not None and len(report.relations) == len(pairs)
+    if report is None:
+        raise OutOfRange("none of the three default q-samples lies in the Kahler cone")
+    assert len(report.relations) == len(pairs)
     return report

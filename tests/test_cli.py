@@ -126,6 +126,14 @@ def test_cli_rejects_non_semi_fano(tmp_path, capsys):
         assert "semi-Fano" in err, command
 
 
+def test_cli_verify_rejects_a_sample_off_the_kahler_cone(capsys):
+    # D3 of X8 has zero area at this sample: an input error, not a FAIL
+    rc, out, err = run(capsys, "verify", "X8", "--q", "1/2,1/2,1/4,1/2,1/2,1/2")
+    assert rc == 2
+    assert out == ""
+    assert "Kahler cone" in err and "edge 3" in err
+
+
 def test_cli_verify_p2(capsys):
     rc, out, _ = run(capsys, "verify", "P2")
     assert rc == 0

@@ -3,6 +3,7 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sftoric.errors import OutOfRange, ParameterMismatch
 from sftoric.laurent import LaurentPoly, QPoly, canonical_string, qpoly_string
@@ -266,3 +267,162 @@ def test_canonical_string_injective_on_samples():
         if s in seen:
             assert seen[s] == p
         seen[s] = p
+
+
+# --- the kernel against a naive dict-of-Fraction reference ---
+
+FRACTIONS = st.sampled_from(
+    [Fraction(n, m) for n in range(-3, 4) for m in (1, 2, 3)]
+)
+
+
+def q_dicts(k):
+    return st.dictionaries(
+        st.tuples(*[st.integers(-2, 2)] * k), FRACTIONS, max_size=4
+    )
+
+
+def z_dicts(k):
+    return st.dictionaries(
+        st.tuples(st.integers(-2, 2), st.integers(-2, 2)), q_dicts(k), max_size=3
+    )
+
+
+def ref_q(d):
+    return {e: Fraction(c) for e, c in d.items() if c}
+
+
+def ref_z(d):
+    out = {ze: ref_q(q) for ze, q in d.items()}
+    return {ze: q for ze, q in out.items() if q}
+
+
+def ref_q_add(a, b, sign=1):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, Fraction(0)) + sign * c
+    return ref_q(out)
+
+
+def ref_q_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return ref_q(out)
+
+
+def ref_z_add(a, b, sign=1):
+    out = dict(a)
+    for ze, q in b.items():
+        out[ze] = ref_q_add(out.get(ze, {}), q, sign)
+    return ref_z(out)
+
+
+def ref_z_mul(a, b):
+    out = {}
+    for z1, q1 in a.items():
+        for z2, q2 in b.items():
+            ze = (z1[0] + z2[0], z1[1] + z2[1])
+            out[ze] = ref_q_add(out.get(ze, {}), ref_q_mul(q1, q2))
+    return ref_z(out)
+
+
+def ref_specialize(d, qvals):
+    total = Fraction(0)
+    for e, c in d.items():
+        for x, q in zip(e, qvals):
+            c *= q**x
+        total += c
+    return total
+
+
+def terms_q(p):
+    return {e: Fraction(c) for e, c in p.terms.items()}
+
+
+def terms_z(p):
+    return {ze: terms_q(q) for ze, q in p.terms.items()}
+
+
+def assert_clean_q(p, k):
+    assert p.k == k
+    if not p.terms:
+        assert p is QPoly.zero(k)
+    for e, c in p.terms.items():
+        assert type(e) is tuple and len(e) == k and all(type(x) is int for x in e)
+        assert c != 0
+        assert type(c) is (int if Fraction(c).denominator == 1 else Fraction)
+
+
+def assert_clean_z(p, k):
+    assert p.k == k
+    for ze, q in p.terms.items():
+        assert type(ze) is tuple and len(ze) == 2 and all(type(x) is int for x in ze)
+        assert q.terms
+        assert_clean_q(q, k)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(data=st.data(), k=st.integers(0, 2), c=FRACTIONS, cancel=st.booleans())
+def test_qpoly_kernel_matches_reference(data, k, c, cancel):
+    da = data.draw(q_dicts(k))
+    # with cancel, b is -a and the sum cancels to the shared zero
+    db = {e: -v for e, v in da.items()} if cancel else data.draw(q_dicts(k))
+    a, b = QPoly(k, da), QPoly(k, db)
+    ra, rb = ref_q(da), ref_q(db)
+    results = {
+        "add": (a + b, ref_q_add(ra, rb)),
+        "sub": (a - b, ref_q_add(ra, rb, -1)),
+        "self-sub": (a - a, {}),
+        "neg": (-a, {e: -v for e, v in ra.items()}),
+        "mul": (a * b, ref_q_mul(ra, rb)),
+        "scale": (a.scale(c), ref_q({e: c * v for e, v in ra.items()})),
+        "rmul": (c * a, ref_q({e: c * v for e, v in ra.items()})),
+    }
+    for name, (got, want) in results.items():
+        assert_clean_q(got, k)
+        assert terms_q(got) == want, name
+    assert a.scale(1) is a
+    qvals = [Fraction(1, 2), Fraction(2, 3)][:k]
+    assert a.specialize(qvals) == ref_specialize(ra, qvals)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(data=st.data(), k=st.integers(0, 2), c=FRACTIONS, cancel=st.booleans())
+def test_laurent_kernel_matches_reference(data, k, c, cancel):
+    da = data.draw(z_dicts(k))
+    if cancel:
+        db = {ze: {e: -v for e, v in q.items()} for ze, q in da.items()}
+    else:
+        db = data.draw(z_dicts(k))
+    dq = data.draw(q_dicts(k))
+    a = LaurentPoly(k, {ze: QPoly(k, q) for ze, q in da.items()})
+    b = LaurentPoly(k, {ze: QPoly(k, q) for ze, q in db.items()})
+    qc = QPoly(k, dq)
+    ra, rb, rq = ref_z(da), ref_z(db), ref_q(dq)
+    results = {
+        "add": (a + b, ref_z_add(ra, rb)),
+        "sub": (a - b, ref_z_add(ra, rb, -1)),
+        "neg": (-a, {ze: {e: -v for e, v in q.items()} for ze, q in ra.items()}),
+        "mul": (a * b, ref_z_mul(ra, rb)),
+        "scale": (a.scale(c), ref_z({ze: {e: c * v for e, v in q.items()} for ze, q in ra.items()})),
+        "scale-qpoly": (a.scale(qc), ref_z({ze: ref_q_mul(q, rq) for ze, q in ra.items()})),
+    }
+    for j in (1, 2):
+        results[f"log-derivative {j}"] = (
+            a.log_derivative(j),
+            ref_z({ze: {e: ze[j - 1] * v for e, v in q.items()} for ze, q in ra.items()}),
+        )
+    for name, (got, want) in results.items():
+        assert_clean_z(got, k)
+        assert terms_z(got) == want, name
+    assert (a - a).terms == {}
+    assert a.coefficient((9, 9)) is QPoly.zero(k)
+    qvals = [Fraction(1, 2), Fraction(2, 3)][:k]
+    special = a.specialize_q(qvals)
+    assert_clean_z(special, 0)
+    assert {ze: q.specialize(()) for ze, q in special.terms.items()} == {
+        ze: v for ze, q in ra.items() if (v := ref_specialize(q, qvals))
+    }

@@ -178,3 +178,22 @@ def test_relation_count(bundled):
             continue
         rels = quantum_sr_relations(fan, spec)
         assert len(rels) == fan.d * (fan.d - 3) // 2, name
+
+
+def test_relations_share_zero_and_exponent_tuples(bundled):
+    # identity and type checks, stable across Python versions where byte
+    # sizes are not: one zero object, one tuple per q-exponent vector, and
+    # integral coefficients stored as int
+    fan, spec = bundled["X11"]
+    zero = QPoly.zero(spec.k)
+    exponents = {}
+    coefficients = 0
+    for _, el in quantum_sr_relations(fan, spec):
+        for qp in (el.scalar, *el.divisor):
+            if not qp:
+                assert qp is zero
+            for exps, c in qp.terms.items():
+                assert exponents.setdefault(exps, exps) is exps
+                assert type(c) is int
+                coefficients += 1
+    assert coefficients and len(exponents) < coefficients

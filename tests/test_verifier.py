@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from appendix_data import X3_PSI, build_signed
-from sftoric.errors import IsP2
+from sftoric.errors import IsP2, OutOfRange
 from sftoric.fan import Fan
 from sftoric.homology import linear_relations, unit_vector
 from sftoric.kahler import KahlerSpec
@@ -30,6 +30,7 @@ from sftoric.verifier import (
     jac_dimension,
     jacobian_ideal,
     newton_dimension,
+    off_cone_edge,
     psi_divisor,
     psi_qh,
     verify_homomorphism,
@@ -286,10 +287,54 @@ def test_sample_on_a_wall_takes_the_dimension_fallback(bundled):
     assert spec.edge_length(3).value_at((1, 1, 2, 1, 1, 1)) == 0
     q = [Fraction(1, 2)] * 6
     q[2] = Fraction(1, 4)
-    report = verify_homomorphism(spec, q)
-    assert report.dimension_fallback and report.dimension == 6
-    assert report.membership_fallbacks == 0
-    assert all(ok for _, ok in report.relations) and not report.passed
+    w_at = superpotential(spec).w.specialize_q(q)
+    assert _dimension(fan, w_at, "grevlex") == (6, True)
+    # verify_homomorphism rejects the sample instead of reporting a failure
+    with pytest.raises(OutOfRange, match="edge 3"):
+        verify_homomorphism(spec, q)
+
+
+@pytest.mark.parametrize(
+    "name, q, edge",
+    [
+        ("X8", "1/2,1/2,1/4,1/2,1/2,1/2", 3),
+        ("X10", "1/2,1/2,1/4,1/3,1/2,1/2", 3),
+        ("X11", "1/2,1/2,1/2,1/2,1/2,1/4,1/2", 2),
+    ],
+)
+def test_samples_off_the_kahler_cone_are_rejected(bundled, name, q, edge):
+    # the q-monomial of the named edge is exactly one at these samples
+    spec = bundled[name][1]
+    qvals = [Fraction(v) for v in q.split(",")]
+    assert off_cone_edge(spec, qvals) == edge
+    monomial = 1
+    for v, e in zip(qvals, spec.edge_length(edge).coeffs):
+        monomial *= v**e
+    assert monomial == 1
+    with pytest.raises(OutOfRange, match=f"edge {edge} "):
+        verify_homomorphism(spec, qvals)
+
+
+def test_default_samples_lie_in_the_kahler_cone(bundled):
+    for name, (fan, spec) in bundled.items():
+        if fan.d > 3:
+            assert off_cone_edge(spec, default_q_sample(spec.k)) is None, name
+
+
+def test_auto_resampling_skips_samples_off_the_cone(bundled, monkeypatch):
+    # put the first default window on the wall of X8: it is skipped, not
+    # raised, and the report records only the windows actually tried
+    import sftoric.verifier as verifier
+
+    fan, spec = bundled["X8"]
+    wall = (Fraction(1, 2),) * 2 + (Fraction(1, 4),) + (Fraction(1, 2),) * 3
+    real = verifier.default_q_sample
+    monkeypatch.setattr(
+        verifier, "default_q_sample", lambda k, shift=0: wall if shift == 0 else real(k, shift)
+    )
+    report = verify_homomorphism(spec)
+    assert report.passed
+    assert report.samples_tried == [real(spec.k, 1)]
 
 
 def test_constant_has_no_certificate(bundled):
