@@ -236,6 +236,21 @@ def _qpoly(k: int, terms: dict[QExp, Coeff]) -> QPoly:
     return _build(k, tuple(terms), tuple(terms.values()))
 
 
+def share_tuples(p: QPoly, pool: dict[tuple, tuple]) -> QPoly:
+    """p with its exponent and coefficient tuples taken from ``pool``.
+
+    Equal tuples of the QPolys passed through one pool become one object, so
+    a result that holds many coefficients with the same support or the same
+    coefficient pattern keeps each tuple once.  Coefficients are normalized,
+    so equal coefficient tuples also agree in the type of every entry.
+    """
+    exps = pool.setdefault(p._exps, p._exps)
+    coeffs = pool.setdefault(p._coeffs, p._coeffs)
+    if exps is p._exps and coeffs is p._coeffs:
+        return p
+    return _build(p.k, exps, coeffs)
+
+
 class LaurentPoly:
     """Laurent polynomial in z_1, z_2 with QPoly coefficients."""
 

@@ -31,7 +31,7 @@ from .errors import IsP2, NotPrimitivePair, NotSemiFano, WrongChern
 from .fan import Fan
 from .homology import chern_number, dual_bases, fiber_classes, profile, reduce_class
 from .kahler import KahlerSpec
-from .laurent import QPoly
+from .laurent import QPoly, share_tuples
 
 
 @dataclass(slots=True)
@@ -234,17 +234,24 @@ def quantum_sr_relations(fan: Fan, spec: KahlerSpec):
     """The quantum expansion of D_i D_j for every primitive pair.
 
     The curve classes, their q-monomials and the dual basis are built once
-    and shared by all pairs, and equal coefficients are one object.  Raises IsP2 on P^2 and NotSemiFano off the
-    semi-Fano range.
+    and shared by all pairs.  Equal coefficients are one object, and so are
+    equal exponent and coefficient tuples of different coefficients.  Raises
+    IsP2 on P^2 and NotSemiFano off the semi-Fano range.
     """
     pairs = primitive_pairs(fan)
     _check_supported(fan)
     data = _curve_data(fan, spec)
     out = []
     shared: dict[QPoly, QPoly] = {}  # one object per coefficient value
+    pool: dict[tuple, tuple] = {}  # one object per exponent or coefficient tuple
+
+    def one(c: QPoly) -> QPoly:
+        s = shared.get(c)
+        if s is None:
+            s = shared[c] = share_tuples(c, pool)
+        return s
+
     for pr in pairs:
         el = _product(fan, spec.k, data, *pr)
-        scalar = shared.setdefault(el.scalar, el.scalar)
-        divisor = tuple(shared.setdefault(c, c) for c in el.divisor)
-        out.append((pr, QHElement(scalar, divisor)))
+        out.append((pr, QHElement(one(el.scalar), tuple(one(c) for c in el.divisor))))
     return out

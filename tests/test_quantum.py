@@ -182,16 +182,21 @@ def test_relation_count(bundled):
 
 def test_relations_share_zero_and_exponent_tuples(bundled):
     # identity and type checks, stable across Python versions where byte
-    # sizes are not: one zero object, one tuple per q-exponent vector, and
-    # integral coefficients stored as int
+    # sizes are not: one zero object, one tuple per q-exponent vector, one
+    # exponent tuple per support and one coefficient tuple per coefficient
+    # pattern, and integral coefficients stored as int
     fan, spec = bundled["X11"]
     zero = QPoly.zero(spec.k)
     exponents = {}
+    supports = {}
+    patterns = {}
     coefficients = 0
     for _, el in quantum_sr_relations(fan, spec):
         for qp in (el.scalar, *el.divisor):
             if not qp:
                 assert qp is zero
+            assert supports.setdefault(qp._exps, qp._exps) is qp._exps
+            assert patterns.setdefault(qp._coeffs, qp._coeffs) is qp._coeffs
             for exps, c in qp.terms.items():
                 assert exponents.setdefault(exps, exps) is exps
                 assert type(c) is int
