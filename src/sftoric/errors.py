@@ -83,12 +83,6 @@ class SingularPairing(ToricError):
     """The Gram matrix of the chosen divisor basis is singular."""
 
 
-# --- verifier ---
-
-class InfiniteDimensional(ToricError):
-    """The Jacobian ring is not finite-dimensional at the sampled parameters."""
-
-
 # --- surface files ---
 
 class SurfaceSyntaxError(ToricError):

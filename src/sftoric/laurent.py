@@ -86,6 +86,10 @@ class QPoly:
     def __setattr__(self, name, value):
         raise AttributeError("QPoly is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor: zero stays shared
+        return (QPoly, (self.k, self.terms))
+
     @property
     def terms(self) -> dict[QExp, Coeff]:
         """Exponent vector -> coefficient, as a new dict."""
@@ -194,9 +198,6 @@ class QPoly:
     def __bool__(self) -> bool:
         return bool(self._exps)
 
-    def is_one(self) -> bool:
-        return self._coeffs == (1,) and not any(self._exps[0])
-
     def specialize(self, qvals: Sequence[Fraction]) -> Fraction:
         if len(qvals) != self.k:
             raise ParameterMismatch(f"{len(qvals)} values for k={self.k}")
@@ -272,6 +273,9 @@ class LaurentPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
+
+    def __reduce__(self):
+        return (LaurentPoly, (self.k, self.terms))
 
     # --- constructors ---
 

@@ -18,10 +18,16 @@ the package checks itself:
   edge of Delta, i.e. every edge polynomial f has gcd(f, f') = 1; for a
   smooth fan 2 area(Delta) = d, the rank of H*(X).
 
-A relation without a certificate, or a degenerate edge, sends that sample to
-a Groebner basis over Q[z1, z2, u] / (u z1 z2 - 1), so every verdict is the
-one the Groebner computation gives.  sympy is imported only there; the
-Groebner routines also stay as the reference the tests compare against.
+The two checks are complete, so they are the whole decision procedure.  A
+sample must lie in the open Kahler cone, and there W is nondegenerate on
+every edge: each long-edge discriminant is a q-monomial times a product of
+factors (q^A - 1)^2, A a sum of consecutive (-2)-curve areas.  For such W
+the Newton filtration of the Jacobian ring gives
+J cap L(2 Delta) = L(Delta) g1 + L(Delta) g2, where L(P) is the span of the
+monomials on the lattice points of P; a relation lies in L(2 Delta), so it
+is in J exactly when it has a certificate.  A relation without one fails,
+and a degenerate edge leaves the dimension undefined.  The tests compare
+both checks against a Groebner-basis reference.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import InfiniteDimensional, IsP2, NotSemiFano, OutOfRange
+from .errors import IsP2, NotSemiFano, OutOfRange
 from .fan import Fan, det
 from .homology import linear_relations, pair, solve_linear, unit_vector
 from .kahler import KahlerSpec
@@ -174,116 +180,6 @@ def newton_dimension(fan: Fan, w: LaurentPoly) -> int | None:
     return sum(det(fan.ray(i), fan.ray(i + 1)) for i in range(1, fan.d + 1))
 
 
-def ideal_membership(
-    fan: Fan, ideal: JacobianIdeal, polys: Sequence[LaurentPoly]
-) -> tuple[list[bool], int]:
-    """Is each p in the ideal?  Certificates first, Groebner for the rest.
-
-    Returns the verdicts and how many of them the Groebner fallback decided.
-    """
-    certs = cofactor_certificates(fan, ideal, polys)
-    fallbacks = certs.count(None)
-    G = _groebner_basis(ideal, (), "grevlex") if fallbacks else None
-    verdicts = [
-        cert is not None or bool(G.contains(_to_poly(p))) for p, cert in zip(polys, certs)
-    ]
-    return verdicts, fallbacks
-
-
-def _dimension(fan: Fan, w: LaurentPoly, order: str) -> tuple[int, bool]:
-    """dim Jac(W) and whether the Groebner fallback decided it."""
-    dim = newton_dimension(fan, w)
-    if dim is not None:
-        return dim, False
-    return _standard_monomial_count(_groebner_basis(JacobianIdeal.of(w), (), order), order), True
-
-
-# --- Groebner machinery over Q[z1, z2, u], u = (z1 z2)^(-1); the fallback and
-# the reference, and the only code that imports sympy ---
-
-
-def _gens():
-    from sympy import symbols
-
-    return symbols("z1 z2 u")
-
-
-def _to_poly(p: LaurentPoly):
-    """Clear denominators of a specialized (k = 0) Laurent polynomial.
-
-    z1^e1 z2^e2 = z1^(e1+m) z2^(e2+m) u^m with m = max(0, -e1, -e2); the map
-    (e1, e2) -> exponent triple is injective, monomials are units, so
-    membership statements are unchanged.
-    """
-    from sympy import QQ, Poly, Rational
-
-    terms = {}
-    for (e1, e2), qp in p.terms.items():
-        c = qp.specialize(())
-        m = max(0, -e1, -e2)
-        terms[(e1 + m, e2 + m, m)] = Rational(c.numerator, c.denominator)
-    if not terms:
-        terms = {(0, 0, 0): Rational(0)}
-    return Poly.from_dict(terms, *_gens(), domain=QQ)
-
-
-def _groebner_basis(ideal: JacobianIdeal, qvals: Sequence[Fraction], order: str):
-    from sympy import QQ, Poly, groebner
-
-    z1, z2, u = _gens()
-    gens = [
-        _to_poly(ideal.g1.specialize_q(qvals)),
-        _to_poly(ideal.g2.specialize_q(qvals)),
-        Poly(u * z1 * z2 - 1, z1, z2, u, domain=QQ),
-    ]
-    return groebner(gens, z1, z2, u, order=order, domain=QQ)
-
-
-def groebner_membership(
-    p: LaurentPoly,
-    ideal: JacobianIdeal,
-    qvals: Sequence,
-    order: str = "grevlex",
-) -> bool:
-    """Is p in <g1, g2> inside the Laurent ring, at exact rational q values?"""
-    qvals = [Fraction(v) for v in qvals]
-    G = _groebner_basis(ideal, qvals, order)
-    return G.contains(_to_poly(p.specialize_q(qvals)))
-
-
-def _standard_monomial_count(G, order: str) -> int:
-    if not G.is_zero_dimensional:
-        raise InfiniteDimensional("Jacobian ring is not finite-dimensional here")
-    lms = [tuple(g.LM(order=order)) for g in G.polys]
-    bounds = []
-    for var in range(3):
-        pure = [
-            m[var]
-            for m in lms
-            if all(e == 0 for v, e in enumerate(m) if v != var)
-        ]
-        bounds.append(min(pure))
-    count = 0
-    for a in range(bounds[0]):
-        for b in range(bounds[1]):
-            for c in range(bounds[2]):
-                if not any(
-                    a >= m[0] and b >= m[1] and c >= m[2] for m in lms
-                ):
-                    count += 1
-    return count
-
-
-def jac_dimension(spec: KahlerSpec, qvals: Sequence, order: str = "grevlex") -> int:
-    """dim of the Laurent Jacobian ring at exact rational q values.
-
-    2 area(Delta) when W is nondegenerate on every edge, else the number of
-    standard monomials of a Groebner basis in the given order.
-    """
-    w = superpotential(spec).w.specialize_q(qvals)
-    return _dimension(spec.fan, w, order)[0]
-
-
 # --- the end-to-end report ---
 
 _PRIMES = (7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
@@ -298,10 +194,8 @@ def default_q_sample(k: int, shift: int = 0) -> tuple[Fraction, ...]:
 class VerificationReport:
     """Line-oriented record of the QH = Jac verification for one surface.
 
-    ``membership_fallbacks`` counts the relations of the final sample that
-    had no certificate and ``dimension_fallback`` says whether an edge was
-    degenerate there; both sent that check to a Groebner basis.  The text
-    form does not show them.
+    ``samples_tried`` lists the sample the checks ran at; it has one entry,
+    since a failed check is final and off-cone windows are skipped unseen.
     """
 
     surface: str
@@ -311,8 +205,6 @@ class VerificationReport:
     dimension: int | None
     expected_dimension: int
     samples_tried: list[tuple[Fraction, ...]] = field(default_factory=list)
-    membership_fallbacks: int = 0
-    dimension_fallback: bool = False
 
     @property
     def passed(self) -> bool:
@@ -327,8 +219,6 @@ class VerificationReport:
         lines.append(
             "q-sample " + " ".join(f"q{l}={v}" for l, v in enumerate(self.q_sample, 1))
         )
-        if len(self.samples_tried) > 1:
-            lines.append(f"resampled {len(self.samples_tried) - 1} time(s)")
         lines.append(f"linear-identity {'PASS' if self.linear_identity else 'FAIL'}")
         for (i, j), ok in self.relations:
             lines.append(f"relation D{i}*D{j} membership {'PASS' if ok else 'FAIL'}")
@@ -359,66 +249,71 @@ def off_cone_edge(spec: KahlerSpec, qvals: Sequence[Fraction]) -> int | None:
     return None
 
 
+def _w_on_cone(spec: KahlerSpec, qvals: Sequence) -> LaurentPoly:
+    """W at exact rational q values, which must lie in the open Kahler cone.
+
+    specialize_q rejects a wrong count or a value outside (0, 1); a sample
+    off the cone raises OutOfRange naming the first edge whose q-monomial
+    is >= 1.
+    """
+    w_at = superpotential(spec).w.specialize_q(qvals)
+    edge = off_cone_edge(spec, qvals)
+    if edge is not None:
+        raise OutOfRange(
+            f"the q-sample lies off the Kahler cone: edge {edge} has q-monomial >= 1"
+        )
+    return w_at
+
+
+def jac_dimension(spec: KahlerSpec, qvals: Sequence) -> int | None:
+    """dim of the Laurent Jacobian ring at exact rational q values.
+
+    2 area(Delta) by Kouchnirenko's theorem, or None when W is degenerate on
+    an edge.  That does not happen inside the open Kahler cone, the only
+    place the sample may lie (else OutOfRange, naming the edge): every
+    long-edge discriminant of W is a q-monomial times a product of factors
+    (q^A - 1)^2, with A a sum of consecutive (-2)-curve areas.
+    """
+    return newton_dimension(spec.fan, _w_on_cone(spec, qvals))
+
+
 def verify_homomorphism(
     spec: KahlerSpec, qvals: Sequence | None = None
 ) -> VerificationReport:
     """Check every quantum relation and the dimension equality for one surface.
 
-    With qvals omitted, the default prime-reciprocal sample is used and a
-    failed check or an infinite-dimensional quotient triggers resampling at
-    the next prime window, up to three windows (the report records every
-    sample tried); a window off the Kahler cone is skipped.  Explicit qvals
-    off the cone raise OutOfRange, naming the first edge whose q-monomial
-    is >= 1.
+    With qvals omitted, the sample is the first of three prime-reciprocal
+    windows that lies in the open Kahler cone.  Explicit qvals off the cone
+    raise OutOfRange, naming the first edge whose q-monomial is >= 1.  A
+    relation without a certificate fails, and a degenerate edge leaves the
+    dimension undefined.
     """
     fan = spec.fan
     if fan.d == 3:
         raise IsP2("quantum Stanley-Reisner verification excludes P^2")
-    auto = qvals is None
     linear_ok = verify_linear_identity(spec)
-    w = superpotential(spec).w
-    pairs = primitive_pairs(fan)
-    memberships = []
+    if qvals is None:
+        windows = (default_q_sample(spec.k, shift) for shift in range(3))
+        sample = next((s for s in windows if off_cone_edge(spec, s) is None), None)
+        if sample is None:
+            raise OutOfRange("none of the three default q-samples lies in the Kahler cone")
+    else:
+        sample = tuple(Fraction(v) for v in qvals)
+    w_at = _w_on_cone(spec, sample)
+    pairs, polys = [], []
     for (i, j), el in quantum_sr_relations(fan, spec):
         lhs = psi_divisor(spec, unit_vector(fan.d, i))
         rhs = psi_divisor(spec, unit_vector(fan.d, j))
-        memberships.append(((i, j), lhs * rhs - psi_qh(spec, el)))
-    if auto:
-        samples = [default_q_sample(spec.k, attempt) for attempt in range(3)]
-    else:
-        samples = [tuple(Fraction(v) for v in qvals)]
-    tried = []
-    report = None
-    for sample in samples:
-        w_at = w.specialize_q(sample)
-        edge = off_cone_edge(spec, sample)
-        if edge is not None:
-            if auto:
-                continue
-            raise OutOfRange(
-                f"the q-sample lies off the Kahler cone: edge {edge} has q-monomial >= 1"
-            )
-        tried.append(sample)
-        polys = [p.specialize_q(sample) for _, p in memberships]
-        verdicts, fallbacks = ideal_membership(fan, JacobianIdeal.of(w_at), polys)
-        try:
-            dimension, dimension_fallback = _dimension(fan, w_at, "grevlex")
-        except InfiniteDimensional:
-            dimension, dimension_fallback = None, True
-        report = VerificationReport(
-            surface=spec.name or f"{fan.d}-ray surface",
-            q_sample=sample,
-            linear_identity=linear_ok,
-            relations=[(pr, ok) for (pr, _), ok in zip(memberships, verdicts)],
-            dimension=dimension,
-            expected_dimension=fan.d,
-            samples_tried=list(tried),
-            membership_fallbacks=fallbacks,
-            dimension_fallback=dimension_fallback,
-        )
-        if report.passed:
-            break
-    if report is None:
-        raise OutOfRange("none of the three default q-samples lies in the Kahler cone")
-    assert len(report.relations) == len(pairs)
-    return report
+        pairs.append((i, j))
+        polys.append((lhs * rhs - psi_qh(spec, el)).specialize_q(sample))
+    assert pairs == primitive_pairs(fan)
+    certs = cofactor_certificates(fan, JacobianIdeal.of(w_at), polys)
+    return VerificationReport(
+        surface=spec.name or f"{fan.d}-ray surface",
+        q_sample=sample,
+        linear_identity=linear_ok,
+        relations=[(pr, cert is not None) for pr, cert in zip(pairs, certs)],
+        dimension=newton_dimension(fan, w_at),
+        expected_dimension=fan.d,
+        samples_tried=[sample],
+    )

@@ -98,7 +98,7 @@ def test_criterion_5_isomorphism_verification(bundled):
     for name, (fan, spec) in bundled.items():
         ok = ok and jac_dimension(spec, default_q_sample(spec.k)) == fan.d
     ok = ok and time.monotonic() - t0 < 600.0
-    verdict(5, "Groebner membership + dim Jac = rank H* on all surfaces", ok)
+    verdict(5, "certified membership + Newton dim Jac = rank H* on all surfaces", ok)
 
 
 def test_criterion_6_classification(bundled):

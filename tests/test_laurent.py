@@ -442,3 +442,21 @@ def test_laurent_kernel_matches_reference(data, k, c, cancel):
     assert {ze: q.specialize(()) for ze, q in special.terms.items()} == {
         ze: v for ze, q in ra.items() if (v := ref_specialize(q, qvals))
     }
+
+
+def test_copy_and_pickle_round_trips(bundled):
+    import copy
+    import pickle
+
+    from sftoric.potential import superpotential
+
+    w = superpotential(bundled["X11"][1]).w
+    values = [w, w.specialize_q([Fraction(1, 3)] * 7), LaurentPoly.zero(2),
+              QPoly.one(3), QPoly.monomial(2, (1, -2), Fraction(-3, 4)), QPoly.zero(0)]
+    for f in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
+        for v in values:
+            out = f(v)
+            assert type(out) is type(v) and out == v and hash(out) == hash(v)
+    # the zero QPoly of each k stays the one shared object
+    assert pickle.loads(pickle.dumps(QPoly.zero(4))) is QPoly.zero(4)
+    assert copy.deepcopy(QPoly.zero(1)) is QPoly.zero(1)

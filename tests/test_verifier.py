@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,27 +8,32 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from appendix_data import X3_PSI, build_signed
+from groebner_oracle import (
+    InfiniteDimensional,
+    _groebner_basis,
+    _standard_monomial_count,
+    groebner_dimension,
+    groebner_membership,
+    normal_forms,
+)
+from sftoric import cli
 from sftoric.errors import IsP2, OutOfRange
 from sftoric.fan import Fan
-from sftoric.homology import linear_relations, unit_vector
+from sftoric.homology import linear_relations, solve_linear, unit_vector
 from sftoric.kahler import KahlerSpec
 from sftoric.laurent import LaurentPoly, QPoly
 from sftoric.potential import superpotential, z_beta
 from sftoric.disks import DiskClass
-from sftoric.quantum import quantum_product
+from sftoric.quantum import QHElement, quantum_product
 from sftoric.surfaces import BUNDLED, load_bundled
 from sftoric.verifier import (
     JacobianIdeal,
-    _dimension,
-    _groebner_basis,
-    _standard_monomial_count,
+    VerificationReport,
     cofactor_certificates,
     default_q_sample,
-    groebner_membership,
-    ideal_membership,
     jac_dimension,
     jacobian_ideal,
     newton_dimension,
@@ -205,7 +212,9 @@ def test_jac_dimension_examples(bundled):
     assert jac_dimension(f0, default_q_sample(2)) == 4
     _, x3 = bundled["X3"]
     assert jac_dimension(x3, default_q_sample(4)) == 6
-    assert jac_dimension(x3, default_q_sample(4), order="grlex") == 6
+    # the reference count does not depend on the monomial order
+    w = specialized(superpotential(x3).w, x3)
+    assert groebner_dimension(w, "grevlex") == groebner_dimension(w, "grlex") == 6
 
 
 def test_verify_homomorphism_x3_report(bundled):
@@ -235,9 +244,6 @@ def test_verify_homomorphism_p2_raises(bundled):
 
 def test_infinite_dimensional_detected():
     # <z1 - 1> leaves Q[z2^{\pm 1}] as the quotient: not finite-dimensional
-    from sftoric.errors import InfiniteDimensional
-    from sftoric.verifier import JacobianIdeal, _groebner_basis, _standard_monomial_count
-
     g = LaurentPoly.monomial(0, (1, 0)) - LaurentPoly.constant(0, 1)
     G = _groebner_basis(JacobianIdeal(g, g), (), "grevlex")
     with pytest.raises(InfiniteDimensional):
@@ -258,7 +264,7 @@ def test_newton_dimension_matches_groebner_reference(name):
         assert jac_dimension(spec, sample) == reference, M
 
 
-def test_degenerate_edge_takes_the_groebner_fallback(bundled):
+def test_degenerate_edge_leaves_the_dimension_undefined(bundled):
     # on X1 the edge through the (-2)-ray (0,-1) carries 1 + c x + x^2,
     # which has a double root for c = 2; two critical points then escape to
     # infinity and the Jacobian ring drops to dimension 2
@@ -269,28 +275,32 @@ def test_degenerate_edge_takes_the_groebner_fallback(bundled):
         terms = {(1, 0): 1, (0, 1): 1, (0, -1): c, (-1, -2): 1}
         return LaurentPoly(0, {ze: QPoly.constant(0, v) for ze, v in terms.items()})
 
-    assert newton_dimension(fan, w(3)) == 4
-    assert _dimension(fan, w(3), "grevlex") == (4, False)
+    assert newton_dimension(fan, w(3)) == groebner_dimension(w(3)) == 4
     assert newton_dimension(fan, w(2)) is None
-    assert _dimension(fan, w(2), "grevlex") == (2, True)
-    G = _groebner_basis(JacobianIdeal.of(w(2)), (), "grevlex")
-    assert _standard_monomial_count(G, "grevlex") == 2
-    # W off the lattice points of the polygon is left to the fallback too
+    assert groebner_dimension(w(2)) == 2
+    # W off the lattice points of the polygon is not judged either
     assert newton_dimension(fan, w(3) + LaurentPoly.monomial(0, (2, 0))) is None
+    # a report with an undefined dimension fails on that line
+    report = VerificationReport("X1", (), True, [((2, 4), True)], None, 4, [()])
+    assert not report.passed
+    assert "jacobian-dimension undefined expected 4 FAIL" in report.to_text()
 
 
-def test_sample_on_a_wall_takes_the_dimension_fallback(bundled):
+def test_sample_on_a_wall_is_degenerate_and_rejected(bundled):
     # q3 = q1^2 gives the (-2)-curve D3 of X8 zero area: the sample lies on
     # a wall of the Kahler cone, W is degenerate on the edge through v3 and
-    # the Groebner fallback finds two critical points fewer
+    # the Groebner reference finds two critical points fewer
     fan, spec = bundled["X8"]
     assert spec.edge_length(3).value_at((1, 1, 2, 1, 1, 1)) == 0
     q = [Fraction(1, 2)] * 6
     q[2] = Fraction(1, 4)
     w_at = superpotential(spec).w.specialize_q(q)
-    assert _dimension(fan, w_at, "grevlex") == (6, True)
-    # verify_homomorphism rejects the sample instead of reporting a failure
-    with pytest.raises(OutOfRange, match="edge 3"):
+    assert newton_dimension(fan, w_at) is None
+    assert groebner_dimension(w_at) == 6
+    # both entry points reject the sample instead of reporting a dimension
+    with pytest.raises(OutOfRange, match="edge 3 "):
+        jac_dimension(spec, q)
+    with pytest.raises(OutOfRange, match="edge 3 "):
         verify_homomorphism(spec, q)
 
 
@@ -313,6 +323,8 @@ def test_samples_off_the_kahler_cone_are_rejected(bundled, name, q, edge):
     assert monomial == 1
     with pytest.raises(OutOfRange, match=f"edge {edge} "):
         verify_homomorphism(spec, qvals)
+    with pytest.raises(OutOfRange, match=f"edge {edge} "):
+        jac_dimension(spec, qvals)
 
 
 def test_default_samples_lie_in_the_kahler_cone(bundled):
@@ -345,9 +357,31 @@ def test_constant_has_no_certificate(bundled):
     assert certs[0] is None
     a, b = certs[1]
     assert a * ideal.g1 + b * ideal.g2 == ideal.g1
-    assert ideal_membership(fan, ideal, [one, ideal.g1]) == ([False, True], 1)
     assert not groebner_membership(LaurentPoly.constant(spec.k, 1), jacobian_ideal(spec),
                                    default_q_sample(spec.k))
+
+
+def test_relation_without_certificate_fails(bundled, monkeypatch):
+    # adding 1 to the scalar part of D2*D4 moves its psi-relation by the
+    # constant -1, which is not in the ideal: that relation alone fails
+    import sftoric.verifier as verifier
+
+    fan, spec = bundled["X3"]
+    real = verifier.quantum_sr_relations
+
+    def perturbed(fan, spec):
+        return [
+            (pr, QHElement(el.scalar + QPoly.one(spec.k), el.divisor) if pr == (2, 4) else el)
+            for pr, el in real(fan, spec)
+        ]
+
+    monkeypatch.setattr(verifier, "quantum_sr_relations", perturbed)
+    report = verify_homomorphism(spec)
+    assert [pr for pr, ok in report.relations if not ok] == [(2, 4)]
+    assert report.dimension == 6 and not report.passed
+    text = report.to_text()
+    assert "relation D2*D4 membership FAIL" in text
+    assert text.splitlines()[-1] == "RESULT FAIL"
 
 
 def test_certificates_agree_with_groebner_membership(bundled):
@@ -372,20 +406,21 @@ def test_certificates_agree_with_groebner_membership(bundled):
 
 
 def test_bundled_verify_needs_no_fallback_nor_sympy():
-    # a fresh interpreter: importing the package and verifying every bundled
-    # surface must not load sympy, which only the fallback needs
+    # a fresh interpreter in which sympy cannot be imported at all verifies
+    # every bundled surface through the CLI, byte for byte as here, and
+    # takes dim Jac(W) at the default sample
     code = """
-import json, sys
-from sftoric import BUNDLED, load_bundled, verify_homomorphism, verify_linear_identity
+import contextlib, io, json, sys
+sys.modules["sympy"] = None
+from sftoric import BUNDLED, cli, jac_dimension, load_bundled
+from sftoric.verifier import default_q_sample
 out = {}
 for name in BUNDLED:
-    fan, spec = load_bundled(name)
-    if fan.d == 3:
-        out[name] = [verify_linear_identity(spec), 0, False, fan.d, fan.d]
-        continue
-    r = verify_homomorphism(spec)
-    out[name] = [r.passed, r.membership_fallbacks, r.dimension_fallback, r.dimension, fan.d]
-out["sympy loaded"] = "sympy" in sys.modules
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(["verify", name])
+    spec = load_bundled(name)[1]
+    out[name] = [code, buf.getvalue(), jac_dimension(spec, default_q_sample(spec.k))]
 print(json.dumps(out))
 """
     env = dict(os.environ)
@@ -395,10 +430,14 @@ print(json.dumps(out))
     )
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
-    assert out.pop("sympy loaded") is False
     assert set(out) == set(BUNDLED)
-    for name, (passed, fallbacks, dimension_fallback, dim, d) in out.items():
-        assert passed and fallbacks == 0 and not dimension_fallback and dim == d, name
+    for name, (exit_code, stdout, dim) in out.items():
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            expected = cli.main(["verify", name])
+        assert exit_code == expected == 0 and stdout == buf.getvalue(), name
+        assert stdout.endswith("RESULT PASS\n"), name
+        assert dim == load_bundled(name)[0].d, name
 
 
 SHEARS = st.tuples(st.sampled_from("TU"), st.sampled_from((-2, -1, 1, 2)))
@@ -413,7 +452,7 @@ SHEARS = st.tuples(st.sampled_from("TU"), st.sampled_from((-2, -1, 1, 2)))
     entries=st.lists(st.sampled_from((-1, 0, 1)), min_size=16, max_size=16),
 )
 def test_multi_shear_presentations_verify(name, word, shift, entries):
-    # words of four shears sent the Groebner path past 100 s on X8; the
+    # words of four shears sent a Groebner computation past 100 s on X8; the
     # certificates and the Newton polygon do not depend on the presentation
     M = ((1, 0), (0, 1))
     for kind, k in word:
@@ -428,4 +467,120 @@ def test_multi_shear_presentations_verify(name, word, shift, entries):
     report = verify_homomorphism(spec)
     assert report.passed
     assert report.dimension == spec.fan.d
-    assert report.membership_fallbacks == 0 and not report.dimension_fallback
+
+
+def _rank(columns: list[dict]) -> int:
+    """Rank over Q of vectors given as monomial -> coefficient dicts."""
+    rows = sorted({m for c in columns for m in c})
+    matrix = [[c.get(m, 0) for c in columns] for m in rows]
+    return solve_linear(matrix, [[] for _ in rows])[0] if rows else 0
+
+
+@pytest.mark.parametrize("name", BUNDLED[1:])
+def test_certificates_are_complete_by_the_rank_identity(name):
+    # J cap L(2 Delta) = L(Delta) g1 + L(Delta) g2: the span of the products
+    # of g1, g2 with the monomials on {0} u rays and the image of L(2 Delta)
+    # in Jac(W) add up to all 3d + 1 lattice points of 2 Delta, so a relation
+    # (which lies in L(2 Delta)) is in J exactly when it has a certificate
+    fan, spec = load_bundled(name)
+    delta = [(0, 0), *fan.rays]
+    rays = [fan.ray(i) for i in range(1, fan.d + 2)]
+    r = 2 * max(abs(c) for v in fan.rays for c in v)
+    box = range(-r, r + 1)
+    two_delta = [
+        (x, y)
+        for x in box
+        for y in box
+        if all(
+            (b[0] - a[0]) * (y - 2 * a[1]) - (b[1] - a[1]) * (x - 2 * a[0]) >= 0
+            for a, b in zip(rays, rays[1:])
+        )
+    ]
+    assert len(two_delta) == 3 * fan.d + 1
+    for shift in range(3):
+        w = superpotential(spec).w.specialize_q(default_q_sample(spec.k, shift))
+        assert newton_dimension(fan, w) == fan.d, shift
+        ideal = JacobianIdeal.of(w)
+        products = [LaurentPoly.monomial(0, m) * g for m in delta for g in (ideal.g1, ideal.g2)]
+        assert {m for p in products for m in p.terms} <= set(two_delta)
+        G = _groebner_basis(ideal, (), "grevlex")
+        forms = normal_forms(G, [LaurentPoly.monomial(0, m) for m in two_delta])
+        vectors = [{m: c.specialize(()) for m, c in p.terms.items()} for p in products]
+        assert _rank(vectors) + _rank(forms) == len(two_delta), shift
+
+
+def test_long_edge_discriminants_are_area_factors(bundled):
+    # on an edge of Delta through (-2)-rays the edge polynomial of W has
+    # positive end coefficients and a discriminant whose non-monomial
+    # factors are q^A - 1 up to a q-monomial, A a sum of the areas of
+    # consecutive (-2)-curves on the edge: no root is repeated while every
+    # such area is positive, i.e. anywhere in the open Kahler cone
+    import sympy
+
+    x = sympy.Symbol("x")
+    long_edges = 0
+    for name, (fan, spec) in bundled.items():
+        w = superpotential(spec).w
+        qs = sympy.symbols(f"q1:{spec.k + 1}")
+
+        def expr(qp):
+            total = 0
+            for e, c in qp.terms.items():
+                term = sympy.Rational(c.numerator, c.denominator)
+                for q, k in zip(qs, e):
+                    term *= q**k
+                total += term
+            return total
+
+        corners = [i for i in range(1, fan.d + 1) if fan.self_intersection(i) != -2]
+        for a, b in zip(corners, corners[1:] + [corners[0] + fan.d]):
+            if b - a < 2:
+                continue
+            long_edges += 1
+            coeffs = [w.coefficient(fan.ray(i)) for i in range(a, b + 1)]
+            for end in (coeffs[0], coeffs[-1]):
+                assert end and all(c > 0 for c in end.terms.values()), (name, a)
+            areas = [spec.edge_length(i).coeffs for i in range(a + 1, b)]
+            sums = {
+                tuple(map(sum, zip(*areas[s:e])))
+                for s in range(len(areas))
+                for e in range(s + 1, len(areas) + 1)
+            }
+            f = sum(expr(c) * x**t for t, c in enumerate(coeffs))
+            num, den = sympy.fraction(sympy.together(sympy.discriminant(f, x)))
+            assert len(sympy.Poly(den, *qs).terms()) == 1, (name, a)
+            _, factors = sympy.factor_list(num, *qs)
+            found = set()
+            for g, mult in factors:
+                terms = sympy.Poly(g, *qs).terms()
+                if len(terms) == 1:
+                    continue
+                assert len(terms) == 2 and {terms[0][1], terms[1][1]} == {1, -1}, (name, a, g)
+                A = tuple(u - v for u, v in zip(terms[0][0], terms[1][0]))
+                A = A if A in sums else tuple(-u for u in A)
+                assert A in sums and mult % 2 == 0, (name, a, g, mult)
+                found.add(A)
+            assert found, (name, a)
+    assert long_edges == 24
+
+
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@example(name="X11", r=Fraction(2, 3), offsets=[0, 0, 0, 0, 2, 1, 0, 0])
+@given(
+    name=st.sampled_from(BUNDLED[1:]),
+    r=st.sampled_from((Fraction(1, 2), Fraction(1, 3), Fraction(2, 3))),
+    offsets=st.lists(st.integers(0, 3), min_size=8, max_size=8),
+)
+def test_samples_inside_the_kahler_cone_verify(name, r, offsets):
+    # q_l = r^(t_l) at a positive integer point t of the open Kahler cone,
+    # away from the prime windows: W is nondegenerate, every relation has a
+    # certificate and the verification passes
+    fan, spec = load_bundled(name)
+    t = [s + o for s, o in zip(spec.sample_point, offsets)]
+    assume(all(spec.edge_length(i).value_at(t) > 0 for i in range(1, fan.d + 1)))
+    q = [r**tl for tl in t]
+    assert off_cone_edge(spec, q) is None
+    assert newton_dimension(fan, superpotential(spec).w.specialize_q(q)) == fan.d
+    report = verify_homomorphism(spec, q)
+    assert all(ok for _, ok in report.relations)
+    assert report.passed and report.dimension == fan.d
