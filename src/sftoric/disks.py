@@ -121,16 +121,17 @@ def open_gw(fan: Fan, b: DiskClass) -> int:
     return 1 if is_admissible_class(fan, b) else 0
 
 
-def _classes_on_chain(fan: Fan, chain: MinusTwoChain, i: int) -> Iterator[DiskClass]:
+def chain_sequences(chain: MinusTwoChain, i: int) -> Iterator[dict[int, int]]:
+    """Every admissible multiplicity sequence on the chain centered at ray i.
+
+    Keyed by ray index: every interval [lo, hi] of chain positions containing
+    the center, then every admissible sequence on it.
+    """
     center = chain.position(i)
-    n = len(chain)
     for lo in range(center + 1):
-        for hi in range(center, n):
+        for hi in range(center, len(chain)):
             for seq in admissible_sequences(lo, hi, center):
-                alpha = [0] * fan.d
-                for p, v in seq.items():
-                    alpha[chain.indices[p] - 1] = v
-                yield DiskClass(i, tuple(alpha))
+                yield {chain.indices[p]: v for p, v in seq.items()}
 
 
 def enumerate_admissible(fan: Fan) -> list[DiskClass]:
@@ -142,6 +143,10 @@ def enumerate_admissible(fan: Fan) -> list[DiskClass]:
     out = [DiskClass.basic(fan, i) for i in range(1, fan.d + 1)]
     for chain in fan.minus_two_chains():
         for i in chain.indices:
-            out.extend(_classes_on_chain(fan, chain, i))
+            for seq in chain_sequences(chain, i):
+                alpha = [0] * fan.d
+                for k, v in seq.items():
+                    alpha[k - 1] = v
+                out.append(DiskClass(i, tuple(alpha)))
     out.sort(key=lambda b: (b.i, b.total_multiplicity(), b.alpha))
     return out

@@ -34,17 +34,17 @@ class DegenerateEdge(ToricError):
 
 
 class InvalidKahlerData(ToricError):
-    """Some edge is nonpositive at the sample point t = (1,...,1)."""
+    """Rows that do not fit the fan, or no grid point t makes every edge positive."""
 
 
 # --- Laurent algebra ---
 
 class ParameterMismatch(ToricError):
-    """Operands live over a different number of Kahler parameters."""
+    """Inputs that do not match: parameter counts, fan vs KahlerSpec, divisor length."""
 
 
 class OutOfRange(ToricError):
-    """A specialization value is outside the open interval (0, 1)."""
+    """A q-sample outside the open interval (0, 1) or off the open Kahler cone."""
 
 
 # --- disks and potentials ---
@@ -77,10 +77,6 @@ class IsP2(ToricError):
 
 class NotPrimitivePair(ToricError):
     """The two rays span a cone, so they are not a primitive collection."""
-
-
-class SingularPairing(ToricError):
-    """The Gram matrix of the chosen divisor basis is singular."""
 
 
 # --- surface files ---

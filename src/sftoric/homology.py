@@ -11,11 +11,10 @@ membership tests are implemented.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from math import gcd, lcm
 from typing import Sequence
 
-from .errors import IsP2, SingularPairing
+from .errors import ParameterMismatch
 from .fan import Fan, det
 
 Vector = tuple
@@ -124,53 +123,6 @@ def solve_linear(matrix: Sequence[Sequence], rhs: Sequence[Sequence]):
     return rank, solutions
 
 
-def _independent_mod_relations(fan: Fan, subset: Sequence[int]) -> bool:
-    """Do the [D_i], i in subset, stay independent modulo L_1, L_2?"""
-    d = fan.d
-    l1, l2 = linear_relations(fan)
-    cols = [unit_vector(d, i) for i in subset] + [l1, l2]
-    if len(cols) != d:
-        return False
-    mat = [[cols[c][r] for c in range(d)] for r in range(d)]
-    return solve_linear(mat, [()] * d)[0] == d
-
-
-def dual_bases(fan: Fan, subset: Sequence[int] | None = None):
-    """A coordinate-divisor basis of H^2 and its dual under the pairing.
-
-    Returns (basis, dual): basis[a] = [D_{subset[a]}] and dual[b] a rational
-    divisor class with pair(basis[a], dual[b]) = delta_ab.  With no subset
-    given, the first (d-2)-subset of ray indices (in lexicographic order)
-    whose classes are independent modulo linear equivalence is used.
-    """
-    d = fan.d
-    if d < 4:
-        raise IsP2("H^2 has rank < 2; dual bases need at least 4 rays")
-    if subset is None:
-        chosen = None
-        for cand in combinations(range(1, d + 1), d - 2):
-            if _independent_mod_relations(fan, cand):
-                chosen = cand
-                break
-        if chosen is None:
-            raise SingularPairing("no coordinate subset spans H^2")
-        subset = chosen
-    subset = tuple(subset)
-    basis = [unit_vector(d, i) for i in subset]
-    n = len(subset)
-    gram = [[intersection(fan, a, b) for b in subset] for a in subset]
-    rank, inv = solve_linear(gram, [unit_vector(n, r) for r in range(1, n + 1)])
-    if rank < n:
-        raise SingularPairing(f"Gram matrix of {subset} is singular")
-    dual = []
-    for b in range(n):
-        vec = [Fraction(0)] * d
-        for a in range(n):
-            vec[subset[a] - 1] += inv[b][a]
-        dual.append(tuple(vec))
-    return basis, dual
-
-
 def fiber_classes(fan: Fan):
     """For each opposite-ray pair {a, b}, the ruling fiber class.
 
@@ -195,44 +147,23 @@ def fiber_classes(fan: Fan):
     return out
 
 
-def elimination_pair(fan: Fan):
-    """Coordinate pair used for the canonical representative modulo L_1, L_2.
-
-    Picks the pair (i, j), i < j, with the largest indices (ordered by (j, i)
-    descending) on which the relation matrix is invertible, and returns
-    (i, j, Minv) with Minv the rational inverse of [[L1_i, L2_i], [L1_j, L2_j]].
-    """
-    d = fan.d
-    l1, l2 = linear_relations(fan)
-    for i, j in sorted(combinations(range(1, d + 1), 2), key=lambda p: (p[1], p[0]), reverse=True):
-        m11, m12 = l1[i - 1], l2[i - 1]
-        m21, m22 = l1[j - 1], l2[j - 1]
-        dd = m11 * m22 - m12 * m21
-        if dd != 0:
-            inv = (
-                (Fraction(m22, dd), Fraction(-m12, dd)),
-                (Fraction(-m21, dd), Fraction(m11, dd)),
-            )
-            return i, j, inv
-    raise SingularPairing("no invertible coordinate pair for the relations")
-
-
 def reduce_class(fan: Fan, x: Sequence) -> Vector:
-    """Canonical representative of x modulo L_1, L_2 (zeroes the chosen pair).
+    """Canonical representative of x modulo L_1, L_2: the one with x_{d-1} = x_d = 0.
 
-    The entries may be rationals (int or Fraction; an integral result entry
-    comes back as an int) or QPoly coefficients, which reduce the same way.
+    On the last two coordinates the relations form the matrix with rows
+    v_{d-1}, v_d, whose determinant is one (the rays span a smooth cone), so
+    its inverse is integral and integer input stays integral.  The entries
+    may be rationals or QPoly coefficients, which reduce the same way.
     """
-    i, j, inv = elimination_pair(fan)
-    l1, l2 = linear_relations(fan)
-    xi, xj = x[i - 1], x[j - 1]
-    lam1 = inv[0][0] * xi + inv[0][1] * xj
-    lam2 = inv[1][0] * xi + inv[1][1] * xj
-    out = [v - lam1 * a - lam2 * b for v, a, b in zip(x, l1, l2)]
-    assert not out[i - 1] and not out[j - 1]
-    return tuple(
-        v.numerator if isinstance(v, Fraction) and v.denominator == 1 else v for v in out
-    )
+    if len(x) != fan.d:
+        raise ParameterMismatch(f"class vector with {len(x)} entries for {fan.d} rays")
+    (u1, u2), (w1, w2) = fan.rays[-2:]
+    xu, xw = x[-2], x[-1]
+    lam1 = w2 * xu - u2 * xw
+    lam2 = u1 * xw - w1 * xu
+    out = tuple(v - lam1 * a - lam2 * b for v, (a, b) in zip(x, fan.rays))
+    assert not out[-2] and not out[-1]
+    return out
 
 
 def classes_equal(fan: Fan, x: Sequence, y: Sequence) -> bool:

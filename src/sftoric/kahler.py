@@ -8,8 +8,9 @@ exponent vector (C_1, ..., C_k); the C_l may be negative (several bundled
 surfaces need mixed signs).
 
 Vertices, edge lattice lengths and curve areas are all exact integer forms in
-the t_l.  Validity of the Kahler data is certified at the sample point
-t = (1,...,1), where every edge must have strictly positive length.
+the t_l.  Validity of the Kahler data is certified at one positive integer
+sample point, found by a grid search, where every edge has strictly
+positive length.
 """
 
 from __future__ import annotations
@@ -179,10 +180,6 @@ class KahlerSpec:
     def disk_coefficient(self, i: int) -> tuple[int, ...]:
         """q-exponent vector of the basic disk class beta_i: exp(c_i) = prod q_l^{C_l}."""
         return self.rows[(i - 1) % self.d]
-
-    def q_exponent(self, form: TForm) -> tuple[int, ...]:
-        """q-exponents of exp(-form), i.e. the coefficients of the t-form."""
-        return form.coeffs
 
     def __repr__(self) -> str:
         label = self.name or f"{self.d} rays"

@@ -28,7 +28,7 @@ from .laurent import LaurentPoly, QPoly, canonical_string
 def z_beta(spec: KahlerSpec, b: DiskClass) -> LaurentPoly:
     """The monomial Z_b (a single Laurent term with a single q-monomial)."""
     base = spec.disk_coefficient(b.i)
-    area = spec.q_exponent(spec.curve_area(b.alpha))
+    area = spec.curve_area(b.alpha).coeffs
     exps = tuple(x + y for x, y in zip(base, area)) if any(area) else base
     return LaurentPoly.monomial(spec.k, spec.fan.ray(b.i), QPoly.monomial(spec.k, exps))
 

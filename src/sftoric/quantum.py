@@ -17,8 +17,15 @@ families of rational curve classes:
   with exactly one (-1)-divisor, all others (-2), and the count is one exactly
   when all multiplicities are one (both arms admissible about the (-1)).
 
-Products are expanded through a dual pair of H^2 bases and the divisor part is
-reduced to a canonical representative modulo linear equivalence.
+With these counts the product of a primitive pair is
+
+    D_i * D_j = sum_{c1(a)=2} (D_i.a)(D_j.a) GW(a; pt) q^a
+              + sum_m ( sum_{c1(a)=1} (D_i.a)(D_j.a)(D^m.a) GW(a) q^a ) D_m
+
+for dual bases {D^m}, {D_m} of H^2.  On a surface a curve class is its own
+Poincare dual, sum_m (D^m.a) D_m = [a], so the H^2 part is
+sum_{c1(a)=1} (D_i.a)(D_j.a) GW(a) q^a [a] and no dual basis is needed.  Each
+[a] is taken as the canonical representative modulo linear equivalence.
 """
 
 from __future__ import annotations
@@ -26,10 +33,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .disks import admissible_sequences
-from .errors import IsP2, NotPrimitivePair, NotSemiFano, WrongChern
+from .disks import chain_sequences
+from .errors import IsP2, NotPrimitivePair, NotSemiFano, ParameterMismatch, WrongChern
 from .fan import Fan
-from .homology import chern_number, dual_bases, fiber_classes, profile, reduce_class
+from .homology import chern_number, fiber_classes, profile, reduce_class
 from .kahler import KahlerSpec
 from .laurent import QPoly, share_tuples
 
@@ -39,7 +46,7 @@ class QHElement:
     """scalar * 1 + sum_k divisor[k-1] * D_k with QPoly coefficients.
 
     The divisor vector is stored as the canonical representative modulo the
-    linear-equivalence classes (two fixed coordinates are zeroed out).
+    linear-equivalence classes (its last two coordinates are zero).
     """
 
     scalar: QPoly
@@ -94,15 +101,11 @@ def c1_two_classes(fan: Fan) -> list[tuple[int, ...]]:
         # one-chain shape: an admissible sequence on an interval of the chain
         # through one end, centered where the fiber meets it
         for end, chain in chains.items():
-            center = chain.position(end)
-            n = len(chain)
-            for lo in range(center + 1):
-                for hi in range(center, n):
-                    for seq in admissible_sequences(lo, hi, center):
-                        rep = list(f)
-                        for p, v in seq.items():
-                            rep[chain.indices[p] - 1] += v
-                        record(rep)
+            for seq in chain_sequences(chain, end):
+                rep = list(f)
+                for k, v in seq.items():
+                    rep[k - 1] += v
+                record(rep)
         # two-chain shape: unit runs hanging off both ends of the fiber
         # (opposite rays can never lie on one chain: its heads are collinear)
         if len(chains) == 2 and chains[a] != chains[b]:
@@ -150,30 +153,28 @@ def gw_c1_1(fan: Fan, alpha: Sequence[int]) -> int:
     return 1 if any(profile(fan, rep) == target for rep in c1_one_classes(fan)) else 0
 
 
-def _curve_data(fan: Fan, spec: KahlerSpec, subset: Sequence[int] | None = None):
+def _curve_data(fan: Fan, spec: KahlerSpec):
     """What every product D_i * D_j of one surface shares.
 
-    Returns (two, one, dual): two holds (profile, q^area) for each c_1 = 2
-    class, one holds (profile, q^area, pairings with the basis) for each
-    c_1 = 1 class, and dual is the dual basis of ``dual_bases``.  All products
-    built from it share the exponent tuples of these q-monomials.
+    Returns (two, one), a table of (profile, rep, q^area) for the c_1 = 2 and
+    for the c_1 = 1 classes, with rep the canonical representative of the
+    class.  All products built from it share the exponent tuples of these
+    q-monomials.
     """
 
-    def q_area(rep):
-        return QPoly.monomial(spec.k, spec.q_exponent(spec.curve_area(rep)))
+    def table(reps):
+        return [
+            (profile(fan, rep), reduce_class(fan, rep),
+             QPoly.monomial(spec.k, spec.curve_area(rep).coeffs))
+            for rep in reps
+        ]
 
-    two = [(profile(fan, rep), q_area(rep)) for rep in c1_two_classes(fan)]
-    basis, dual = dual_bases(fan, subset)
-    one = []
-    for rep in c1_one_classes(fan):
-        prof = profile(fan, rep)
-        # pair(b, rep) = b . profile(rep) by the symmetry of the pairing
-        pairings = tuple(sum(x * p for x, p in zip(b, prof)) for b in basis)
-        one.append((prof, q_area(rep), pairings))
-    return two, one, dual
+    return table(c1_two_classes(fan)), table(c1_one_classes(fan))
 
 
-def _check_supported(fan: Fan) -> None:
+def _check_supported(fan: Fan, spec: KahlerSpec) -> None:
+    if fan != spec.fan:
+        raise ParameterMismatch(f"{fan} is not the fan of {spec}")
     if fan.d == 3:
         raise IsP2("quantum Stanley-Reisner data is not computed for P^2")
     if not fan.is_semi_fano():
@@ -181,65 +182,60 @@ def _check_supported(fan: Fan) -> None:
 
 
 def _product(fan: Fan, k: int, data, i: int, j: int) -> QHElement:
-    """D_i * D_j from the shared curve data of ``_curve_data``."""
-    two, one, dual = data
+    """D_i * D_j from the shared curve data of ``_curve_data``.
+
+    The H^2 part sums (D_i.a)(D_j.a) q^a [a] over the c_1 = 1 classes; the
+    representatives [a] are canonical, so the sum is too.
+    """
+    two, one = data
     zero = QPoly.zero(k)
     scalar = zero
-    for prof, qa in two:
+    for prof, _, qa in two:
         c = prof[i - 1] * prof[j - 1]
         if c:
             scalar = scalar + qa.scale(c)
-    vec = [zero] * fan.d
-    for prof, qa, pairings in one:
+    divisor = [zero] * fan.d
+    for prof, rep, qa in one:
         c = prof[i - 1] * prof[j - 1]
         if not c:
             continue
-        for m, p in enumerate(pairings):
-            if not p:
-                continue
-            contrib = qa.scale(c * p)
-            for coord, x in enumerate(dual[m]):
-                if x:
-                    vec[coord] = vec[coord] + contrib.scale(x)
-    divisor = reduce_class(fan, vec)
-    # the paper's hand-picked integral dual bases are a convenience; the
-    # reduced result itself must be integral
+        for coord, m in enumerate(rep):
+            if m:
+                divisor[coord] = divisor[coord] + qa.scale(c * m)
+    # the product of two integral classes is integral
     assert scalar.has_integer_coefficients()
     assert all(c.has_integer_coefficients() for c in divisor)
-    return QHElement(scalar, divisor)
+    return QHElement(scalar, tuple(divisor))
 
 
-def quantum_product(
-    fan: Fan,
-    spec: KahlerSpec,
-    i: int,
-    j: int,
-    subset: Sequence[int] | None = None,
-) -> QHElement:
+def quantum_product(fan: Fan, spec: KahlerSpec, i: int, j: int) -> QHElement:
     """D_i * D_j for a primitive pair, as an element of H^0 + H^2.
 
     D_i * D_j = sum_{c1(a)=2} (D_i.a)(D_j.a) GW(a; pt) q^a
-              + sum_m ( sum_{c1(a)=1} (D_i.a)(D_j.a)(D^m.a) GW(a) q^a ) D_m
-    with {D^m}, {D_m} dual bases of H^2 represented by divisors.
+              + sum_{c1(a)=1} (D_i.a)(D_j.a) GW(a) q^a [a],
+    where [a] = sum_m (D^m.a) D_m for any dual bases {D^m}, {D_m} of H^2 by
+    Poincare duality; [a] is reduced modulo linear equivalence.  Raises
+    ParameterMismatch when fan is not spec.fan.
     """
-    _check_supported(fan)
+    _check_supported(fan, spec)
     d = fan.d
     i0, j0 = (i - 1) % d + 1, (j - 1) % d + 1
     if i0 == j0 or (i0 - j0) % d in (1, d - 1):
         raise NotPrimitivePair(f"rays {i0}, {j0} span a cone")
-    return _product(fan, spec.k, _curve_data(fan, spec, subset), i0, j0)
+    return _product(fan, spec.k, _curve_data(fan, spec), i0, j0)
 
 
 def quantum_sr_relations(fan: Fan, spec: KahlerSpec):
     """The quantum expansion of D_i D_j for every primitive pair.
 
-    The curve classes, their q-monomials and the dual basis are built once
+    The curve classes, their representatives and q-monomials are built once
     and shared by all pairs.  Equal coefficients are one object, and so are
     equal exponent and coefficient tuples of different coefficients.  Raises
-    IsP2 on P^2 and NotSemiFano off the semi-Fano range.
+    ParameterMismatch when fan is not spec.fan, IsP2 on P^2 and NotSemiFano
+    off the semi-Fano range.
     """
     pairs = primitive_pairs(fan)
-    _check_supported(fan)
+    _check_supported(fan, spec)
     data = _curve_data(fan, spec)
     out = []
     shared: dict[QPoly, QPoly] = {}  # one object per coefficient value

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import IsP2, NotSemiFano, OutOfRange
+from .errors import IsP2, NotSemiFano, OutOfRange, ParameterMismatch
 from .fan import Fan, det
 from .homology import linear_relations, pair, solve_linear, unit_vector
 from .kahler import KahlerSpec
@@ -45,30 +45,21 @@ from .potential import superpotential
 from .quantum import QHElement, primitive_pairs, quantum_sr_relations
 
 
-@dataclass
-class JacobianIdeal:
-    """Generators d_j W = z_j dW/dz_j of the Jacobian ideal."""
-
-    g1: LaurentPoly
-    g2: LaurentPoly
-
-    @staticmethod
-    def of(w: LaurentPoly) -> "JacobianIdeal":
-        return JacobianIdeal(w.log_derivative(1), w.log_derivative(2))
-
-
-def jacobian_ideal(spec: KahlerSpec) -> JacobianIdeal:
-    return JacobianIdeal.of(superpotential(spec).w)
+def jacobian_ideal(w: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
+    """Generators (g1, g2), g_j = z_j dW/dz_j, of the Jacobian ideal of W."""
+    return w.log_derivative(1), w.log_derivative(2)
 
 
 def psi_divisor(spec: KahlerSpec, D: Sequence) -> LaurentPoly:
     """psi(D) = sum over admissible b of (D . b) Z_b, extended linearly.
 
-    D is a divisor class vector (rational entries allowed); the pairing with
-    b = beta_i + alpha is the i-th coefficient plus the intersection with the
-    sphere part.
+    D is a divisor class vector (rational entries allowed) with one entry per
+    ray, else ParameterMismatch; the pairing with b = beta_i + alpha is the
+    i-th coefficient plus the intersection with the sphere part.
     """
     fan = spec.fan
+    if len(D) != fan.d:
+        raise ParameterMismatch(f"divisor class with {len(D)} entries for {fan.d} rays")
     out = LaurentPoly.zero(spec.k)
     for b, term in superpotential(spec).classes:
         weight = D[b.i - 1] + pair(fan, D, b.alpha)
@@ -89,9 +80,9 @@ def psi_qh(spec: KahlerSpec, el: QHElement) -> LaurentPoly:
 
 def verify_linear_identity(spec: KahlerSpec) -> bool:
     """psi(sum_i v_i^j D_i) = d_j W exactly (symbolic q), j = 1, 2."""
-    ideal = jacobian_ideal(spec)
+    g1, g2 = jacobian_ideal(superpotential(spec).w)
     l1, l2 = linear_relations(spec.fan)
-    return psi_divisor(spec, l1) == ideal.g1 and psi_divisor(spec, l2) == ideal.g2
+    return psi_divisor(spec, l1) == g1 and psi_divisor(spec, l2) == g2
 
 
 # --- certificates at a q-sample; every polynomial here is specialized (k = 0) ---
@@ -102,20 +93,22 @@ def _value(qp: QPoly) -> Fraction:
 
 
 def cofactor_certificates(
-    fan: Fan, ideal: JacobianIdeal, polys: Sequence[LaurentPoly]
+    fan: Fan, ideal: tuple[LaurentPoly, LaurentPoly], polys: Sequence[LaurentPoly]
 ) -> list[tuple[LaurentPoly, LaurentPoly] | None]:
     """Cofactors (a, b) with p = a g1 + b g2 for each p, or None.
 
+    ideal is the pair (g1, g2) of ``jacobian_ideal``.
     The unknowns are the coefficients of a and b on the lattice points of
     Delta = conv(rays), i.e. the origin and the rays of a semi-Fano fan; one
     row per monomial, one right-hand side per p, one elimination for all.
     A solution is returned only after a * g1 + b * g2 == p is re-checked.
     """
+    g1, g2 = ideal
     support = [(0, 0), *fan.rays]
     n = len(support)
     rows: dict[tuple[int, int], int] = {}
     entries: dict[tuple[int, int], Fraction] = {}
-    for half, g in enumerate((ideal.g1, ideal.g2)):
+    for half, g in enumerate((g1, g2)):
         for col, s in enumerate(support, start=half * n):
             for e, c in g.terms.items():
                 row = rows.setdefault((s[0] + e[0], s[1] + e[1]), len(rows))
@@ -137,7 +130,7 @@ def cofactor_certificates(
         if x is not None:
             a = LaurentPoly(0, {s: QPoly.constant(0, v) for s, v in zip(support, x[:n])})
             b = LaurentPoly(0, {s: QPoly.constant(0, v) for s, v in zip(support, x[n:])})
-            if a * ideal.g1 + b * ideal.g2 == p:
+            if a * g1 + b * g2 == p:
                 cert = (a, b)
         out.append(cert)
     return out
@@ -307,7 +300,7 @@ def verify_homomorphism(
         pairs.append((i, j))
         polys.append((lhs * rhs - psi_qh(spec, el)).specialize_q(sample))
     assert pairs == primitive_pairs(fan)
-    certs = cofactor_certificates(fan, JacobianIdeal.of(w_at), polys)
+    certs = cofactor_certificates(fan, jacobian_ideal(w_at), polys)
     return VerificationReport(
         surface=spec.name or f"{fan.d}-ray surface",
         q_sample=sample,

@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from sftoric.laurent import LaurentPoly
-from sftoric.verifier import JacobianIdeal
+from sftoric.verifier import jacobian_ideal
 
 
 class InfiniteDimensional(Exception):
@@ -44,13 +44,15 @@ def _to_poly(p: LaurentPoly):
     return Poly.from_dict(terms, *_gens(), domain=QQ)
 
 
-def _groebner_basis(ideal: JacobianIdeal, qvals: Sequence[Fraction], order: str):
+def _groebner_basis(
+    ideal: tuple[LaurentPoly, LaurentPoly], qvals: Sequence[Fraction], order: str
+):
+    """Groebner basis of the ideal (g1, g2) of ``jacobian_ideal`` at qvals."""
     from sympy import QQ, Poly, groebner
 
     z1, z2, u = _gens()
     gens = [
-        _to_poly(ideal.g1.specialize_q(qvals)),
-        _to_poly(ideal.g2.specialize_q(qvals)),
+        *(_to_poly(g.specialize_q(qvals)) for g in ideal),
         Poly(u * z1 * z2 - 1, z1, z2, u, domain=QQ),
     ]
     return groebner(gens, z1, z2, u, order=order, domain=QQ)
@@ -58,7 +60,7 @@ def _groebner_basis(ideal: JacobianIdeal, qvals: Sequence[Fraction], order: str)
 
 def groebner_membership(
     p: LaurentPoly,
-    ideal: JacobianIdeal,
+    ideal: tuple[LaurentPoly, LaurentPoly],
     qvals: Sequence,
     order: str = "grevlex",
 ) -> bool:
@@ -93,7 +95,7 @@ def _standard_monomial_count(G, order: str) -> int:
 
 def groebner_dimension(w: LaurentPoly, order: str = "grevlex") -> int:
     """dim Jac(W) of a specialized (k = 0) W: its standard monomial count."""
-    return _standard_monomial_count(_groebner_basis(JacobianIdeal.of(w), (), order), order)
+    return _standard_monomial_count(_groebner_basis(jacobian_ideal(w), (), order), order)
 
 
 def normal_forms(G, polys: Sequence[LaurentPoly]) -> list[dict]:

@@ -4,9 +4,10 @@ import pytest
 
 from sftoric.cli import main
 from sftoric.errors import NotCounterclockwise, NotPrimitive, SurfaceSyntaxError
-from sftoric.surfaces import bundled_text, parse_surface
+from sftoric.surfaces import BUNDLED, bundled_text, parse_surface
 
 GOLDEN = Path(__file__).parent / "golden" / "appendix_table.txt"
+GOLDEN_QH = Path(__file__).parent / "golden" / "qh.txt"
 
 
 def run(capsys, *argv):
@@ -102,6 +103,16 @@ def test_cli_qh(capsys):
         " + (q1*q3*q4 - q1*q2*q3*q4)*D2 + (-q1*q3*q4 + q1*q2*q3*q4)*D3"
         " + -q1*q3*q4*D4"
     ]
+
+
+def test_cli_qh_golden(capsys):
+    # every non-P2 surface, each block headed by "# NAME"
+    blocks = []
+    for name in BUNDLED[1:]:
+        rc, out, err = run(capsys, "qh", name)
+        assert rc == 0 and err == "", name
+        blocks.append(f"# {name}\n{out}")
+    assert "".join(blocks) == GOLDEN_QH.read_text()
 
 
 def test_cli_verify(capsys):

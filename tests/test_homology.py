@@ -3,12 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from sftoric.errors import IsP2
+from sftoric.errors import ParameterMismatch
 from sftoric.fan import Fan, P2_RAYS
 from sftoric.homology import (
     chern_number,
     classes_equal,
-    dual_bases,
     fiber_classes,
     intersection,
     linear_relations,
@@ -55,41 +54,6 @@ def test_linear_relations(bundled):
             assert profile(fan, rel) == (0,) * fan.d, name
 
 
-def test_dual_bases_gram(bundled):
-    for name, (fan, _) in bundled.items():
-        if fan.d < 4:
-            continue
-        basis, dual = dual_bases(fan)
-        for a, ba in enumerate(basis):
-            for b, db in enumerate(dual):
-                assert pair(fan, ba, db) == (1 if a == b else 0), name
-
-
-def test_dual_bases_paper_choice(bundled):
-    x3 = bundled["X3"][0]
-    basis, dual = dual_bases(x3, subset=(1, 4, 5, 6))
-    paper_dual = [
-        (0, 1, 0, 0, 0, 0),  # D2
-        (0, 0, 1, 0, 0, 0),  # D3
-        (0, 0, 2, 1, 0, 0),  # D4 + 2 D3
-        (1, 2, 0, 0, 0, 0),  # D1 + 2 D2
-    ]
-    for mine, theirs in zip(dual, paper_dual):
-        assert classes_equal(x3, mine, theirs)
-
-
-def test_dual_bases_f0(bundled):
-    f0 = bundled["F0"][0]
-    basis, dual = dual_bases(f0, subset=(1, 2))
-    assert classes_equal(f0, dual[0], unit_vector(4, 2))
-    assert classes_equal(f0, dual[1], unit_vector(4, 1))
-
-
-def test_dual_bases_p2_raises():
-    with pytest.raises(IsP2):
-        dual_bases(Fan(P2_RAYS))
-
-
 def test_fiber_classes_examples(bundled):
     f0 = bundled["F0"][0]
     fibers = dict(fiber_classes(f0))
@@ -122,8 +86,15 @@ def test_reduce_class_properties(bundled):
             shifted = tuple(
                 a + 2 * b - c for a, b, c in zip(x, l1, l2)
             )
-            assert reduce_class(fan, x) == reduce_class(fan, shifted), name
-            assert profile(fan, x) == profile(fan, reduce_class(fan, x)), name
+            r = reduce_class(fan, x)
+            assert r == reduce_class(fan, shifted), name
+            assert profile(fan, x) == profile(fan, r), name
+            assert r[-2:] == (0, 0), name
+            assert all(type(v) is int for v in r), name
+    f0 = bundled["F0"][0]
+    for x in ((1, 0, 0), (1, 0, 0, 0, 1)):
+        with pytest.raises(ParameterMismatch):
+            reduce_class(f0, x)
 
 
 def test_solve_linear_rectangular_rank_deficient():

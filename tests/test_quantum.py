@@ -1,7 +1,17 @@
+from itertools import combinations
+
 import pytest
 
-from sftoric.errors import IsP2, NotPrimitivePair, NotSemiFano, WrongChern
+from sftoric.errors import IsP2, NotPrimitivePair, NotSemiFano, ParameterMismatch, WrongChern
 from sftoric.fan import Fan, P2_RAYS
+from sftoric.homology import (
+    classes_equal,
+    intersection,
+    pair,
+    reduce_class,
+    solve_linear,
+    unit_vector,
+)
 from sftoric.kahler import KahlerSpec
 from sftoric.laurent import QPoly
 from sftoric.quantum import (
@@ -137,6 +147,17 @@ def test_quantum_product_errors(bundled):
         quantum_product(p2fan, p2spec, 1, 2)
 
 
+def test_quantum_products_reject_a_fan_that_is_not_the_specs(bundled):
+    x1, x1_spec = bundled["X1"]
+    x2, x2_spec = bundled["X2"]
+    f0 = bundled["F0"][0]
+    for fan, spec in ((x1, x2_spec), (x2, x1_spec), (f0, x1_spec)):
+        with pytest.raises(ParameterMismatch):
+            quantum_sr_relations(fan, spec)
+        with pytest.raises(ParameterMismatch):
+            quantum_product(fan, spec, 1, 3)
+
+
 def test_quantum_products_reject_non_semi_fano():
     # the Hirzebruch surface F3 has D4^2 = -3; its curve classes are not the
     # ones the enumeration knows, so no product may be printed for it
@@ -148,14 +169,74 @@ def test_quantum_products_reject_non_semi_fano():
         quantum_sr_relations(fan, spec)
 
 
+def dual_basis(fan, subset):
+    """The divisor classes dual to [D_i], i in subset, or None if they are no basis."""
+    n = len(subset)
+    gram = [[intersection(fan, a, b) for b in subset] for a in subset]
+    rank, inv = solve_linear(gram, [unit_vector(n, r) for r in range(1, n + 1)])
+    if rank < n:
+        return None
+    dual = []
+    for row in inv:
+        vec = [0] * fan.d
+        for i, x in zip(subset, row):
+            vec[i - 1] += x
+        dual.append(tuple(vec))
+    return dual
+
+
+def test_curve_class_is_its_own_poincare_dual(bundled):
+    # sum_m (D^m.a) D_m = [a] for every dual pair of bases of H^2, which is
+    # why quantum products need no dual basis; checked on every coordinate
+    # basis and, for X3, on the paper's hand-picked duals of (D1, D4, D5, D6)
+    x3, paper = bundled["X3"][0], (1, 4, 5, 6)
+    paper_dual = [
+        (0, 1, 0, 0, 0, 0),  # D2
+        (0, 0, 1, 0, 0, 0),  # D3
+        (0, 0, 2, 1, 0, 0),  # D4 + 2 D3
+        (1, 2, 0, 0, 0, 0),  # D1 + 2 D2
+    ]
+    for mine, theirs in zip(dual_basis(x3, paper), paper_dual):
+        assert classes_equal(x3, mine, theirs)
+    for name, (fan, _) in bundled.items():
+        if fan.d == 3:
+            continue
+        bases = [(paper, paper_dual)] if name == "X3" else []
+        for subset in combinations(range(1, fan.d + 1), fan.d - 2):
+            dual = dual_basis(fan, subset)
+            if dual is not None:
+                bases.append((subset, dual))
+        assert len(bases) > 1, name
+        for subset, dual in bases:
+            basis = [unit_vector(fan.d, i) for i in subset]
+            for m, u in enumerate(dual):
+                assert [pair(fan, b, u) for b in basis] == list(unit_vector(len(basis), m + 1))
+            for a in c1_one_classes(fan):
+                # both sum_m (D^m.a) D_m and sum_m (D_m.a) D^m give [a]
+                for left, right in ((dual, basis), (basis, dual)):
+                    expanded = [0] * fan.d
+                    for x, y in zip(left, right):
+                        c = pair(fan, x, a)
+                        expanded = [e + c * v for e, v in zip(expanded, y)]
+                    assert classes_equal(fan, expanded, a), (name, subset, a)
+
+
 def test_quantum_product_basis_independence(bundled):
+    # the H^2 part by the paper's formula, sum_m (sum_a (D_i.a)(D_j.a)(D^m.a)
+    # q^a) D_m, with dual bases built here, against the product itself
     fan, spec = bundled["X3"]
-    for pair in ((2, 4), (1, 3), (3, 6)):
-        default = quantum_product(fan, spec, *pair)
-        for subset in ((1, 4, 5, 6), (3, 4, 5, 6), (2, 3, 4, 5)):
-            other = quantum_product(fan, spec, *pair, subset=subset)
-            assert other.scalar == default.scalar
-            assert other.divisor == default.divisor
+    d, k = fan.d, spec.k
+    for subset in ((1, 4, 5, 6), (3, 4, 5, 6), (2, 3, 4, 5)):
+        dual = dual_basis(fan, subset)
+        for i, j in primitive_pairs(fan):
+            vec = [QPoly.zero(k)] * d
+            for a in c1_one_classes(fan):
+                c = pair(fan, unit_vector(d, i), a) * pair(fan, unit_vector(d, j), a)
+                qa = QPoly.monomial(k, spec.curve_area(a).coeffs)
+                for m, u in zip(subset, dual):
+                    vec[m - 1] = vec[m - 1] + qa.scale(c * pair(fan, u, a))
+            product = quantum_product(fan, spec, i, j)
+            assert reduce_class(fan, vec) == product.divisor, (subset, i, j)
 
 
 def test_positive_q_weight_and_classical_limit(bundled):

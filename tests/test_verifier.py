@@ -20,7 +20,7 @@ from groebner_oracle import (
     normal_forms,
 )
 from sftoric import cli
-from sftoric.errors import IsP2, OutOfRange
+from sftoric.errors import IsP2, OutOfRange, ParameterMismatch
 from sftoric.fan import Fan
 from sftoric.homology import linear_relations, solve_linear, unit_vector
 from sftoric.kahler import KahlerSpec
@@ -30,7 +30,6 @@ from sftoric.disks import DiskClass
 from sftoric.quantum import QHElement, quantum_product
 from sftoric.surfaces import BUNDLED, load_bundled
 from sftoric.verifier import (
-    JacobianIdeal,
     VerificationReport,
     cofactor_certificates,
     default_q_sample,
@@ -93,6 +92,13 @@ def test_psi_x3_worked_example(bundled):
         assert psi_divisor(spec, unit(6, i)) == expected, i
 
 
+def test_psi_divisor_rejects_a_vector_of_the_wrong_length(bundled):
+    spec = bundled["F0"][1]
+    for D in ((1, 0, 0), (1, 0, 0, 0, 1)):
+        with pytest.raises(ParameterMismatch):
+            psi_divisor(spec, D)
+
+
 def test_psi_fano_is_hori_vafa_term(bundled):
     for name in ("P2", "F0", "F1", "dP2", "dP3"):
         fan, spec = bundled[name]
@@ -109,7 +115,7 @@ def test_linear_identity_all_bundled(bundled):
 
 def test_psi_of_relations_in_ideal(bundled):
     fan, spec = bundled["X3"]
-    ideal = jacobian_ideal(spec)
+    ideal = jacobian_ideal(superpotential(spec).w)
     sample = default_q_sample(spec.k)
     for rel in linear_relations(fan):
         assert groebner_membership(psi_divisor(spec, rel), ideal, sample)
@@ -117,10 +123,11 @@ def test_psi_of_relations_in_ideal(bundled):
 
 def test_groebner_membership_examples(bundled):
     fan, spec = bundled["X3"]
-    ideal = jacobian_ideal(spec)
+    ideal = jacobian_ideal(superpotential(spec).w)
+    g1, _ = ideal
     sample = default_q_sample(spec.k)
     assert groebner_membership(LaurentPoly.zero(spec.k), ideal, sample)
-    assert groebner_membership(ideal.g1, ideal, sample)
+    assert groebner_membership(g1, ideal, sample)
     assert not groebner_membership(LaurentPoly.constant(spec.k, 1), ideal, sample)
     # the surjectivity identity from the worked example:
     # q1q2q3^2q4^3 / z1 = (1+q1) z1 z2 + (1+q3+q2q3) q1q4 z1 + 2 q1 z1^2
@@ -139,16 +146,17 @@ def test_groebner_membership_examples(bundled):
         - LaurentPoly.monomial(k, (2, 0), QPoly.monomial(k, (1, 0, 0, 0), 2))
     )
     minus_z2 = LaurentPoly.monomial(k, (0, 1), QPoly.constant(k, -1))
-    assert p == minus_z2 * ideal.g1
+    assert p == minus_z2 * g1
     assert groebner_membership(p, ideal, sample)
 
 
 def test_membership_order_independence(bundled):
     fan, spec = bundled["X3"]
-    ideal = jacobian_ideal(spec)
+    ideal = jacobian_ideal(superpotential(spec).w)
+    _, g2 = ideal
     sample = default_q_sample(spec.k)
     candidates = [
-        ideal.g2,
+        g2,
         psi_divisor(spec, linear_relations(fan)[0]),
         LaurentPoly.constant(spec.k, 1),
         LaurentPoly.monomial(spec.k, (1, 0)),
@@ -245,7 +253,7 @@ def test_verify_homomorphism_p2_raises(bundled):
 def test_infinite_dimensional_detected():
     # <z1 - 1> leaves Q[z2^{\pm 1}] as the quotient: not finite-dimensional
     g = LaurentPoly.monomial(0, (1, 0)) - LaurentPoly.constant(0, 1)
-    G = _groebner_basis(JacobianIdeal(g, g), (), "grevlex")
+    G = _groebner_basis((g, g), (), "grevlex")
     with pytest.raises(InfiniteDimensional):
         _standard_monomial_count(G, "grevlex")
 
@@ -257,7 +265,7 @@ def test_newton_dimension_matches_groebner_reference(name):
     for M in (((1, 0), (0, 1)), *GENERATORS.values()):
         spec = presentation(name, M)
         sample = default_q_sample(spec.k)
-        G = _groebner_basis(jacobian_ideal(spec), sample, "grevlex")
+        G = _groebner_basis(jacobian_ideal(superpotential(spec).w), sample, "grevlex")
         reference = _standard_monomial_count(G, "grevlex")
         w = specialized(superpotential(spec).w, spec)
         assert newton_dimension(spec.fan, w) == reference == spec.fan.d, M
@@ -351,13 +359,15 @@ def test_auto_resampling_skips_samples_off_the_cone(bundled, monkeypatch):
 
 def test_constant_has_no_certificate(bundled):
     fan, spec = bundled["X3"]
-    ideal = JacobianIdeal.of(specialized(superpotential(spec).w, spec))
+    ideal = jacobian_ideal(specialized(superpotential(spec).w, spec))
+    g1, g2 = ideal
     one = LaurentPoly.constant(0, 1)
-    certs = cofactor_certificates(fan, ideal, [one, ideal.g1])
+    certs = cofactor_certificates(fan, ideal, [one, g1])
     assert certs[0] is None
     a, b = certs[1]
-    assert a * ideal.g1 + b * ideal.g2 == ideal.g1
-    assert not groebner_membership(LaurentPoly.constant(spec.k, 1), jacobian_ideal(spec),
+    assert a * g1 + b * g2 == g1
+    assert not groebner_membership(LaurentPoly.constant(spec.k, 1),
+                                   jacobian_ideal(superpotential(spec).w),
                                    default_q_sample(spec.k))
 
 
@@ -388,7 +398,7 @@ def test_certificates_agree_with_groebner_membership(bundled):
     # every X3 relation has a certificate, and a perturbed relation has none
     fan, spec = bundled["X3"]
     sample = default_q_sample(spec.k)
-    ideal = jacobian_ideal(spec)
+    ideal = jacobian_ideal(superpotential(spec).w)
     z1 = LaurentPoly.monomial(spec.k, (1, 0))
     polys = []
     for (i, j) in ((2, 4), (1, 3), (3, 6)):
@@ -397,7 +407,7 @@ def test_certificates_agree_with_groebner_membership(bundled):
         )
         polys += [p, p + z1]
     certs = cofactor_certificates(
-        fan, JacobianIdeal.of(specialized(superpotential(spec).w, spec)),
+        fan, jacobian_ideal(specialized(superpotential(spec).w, spec)),
         [specialized(p, spec) for p in polys],
     )
     for p, cert in zip(polys, certs):
@@ -500,8 +510,8 @@ def test_certificates_are_complete_by_the_rank_identity(name):
     for shift in range(3):
         w = superpotential(spec).w.specialize_q(default_q_sample(spec.k, shift))
         assert newton_dimension(fan, w) == fan.d, shift
-        ideal = JacobianIdeal.of(w)
-        products = [LaurentPoly.monomial(0, m) * g for m in delta for g in (ideal.g1, ideal.g2)]
+        ideal = jacobian_ideal(w)
+        products = [LaurentPoly.monomial(0, m) * g for m in delta for g in ideal]
         assert {m for p in products for m in p.terms} <= set(two_delta)
         G = _groebner_basis(ideal, (), "grevlex")
         forms = normal_forms(G, [LaurentPoly.monomial(0, m) for m in two_delta])
