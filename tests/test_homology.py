@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -17,6 +18,8 @@ from sftoric.homology import (
     solve_linear,
     unit_vector,
 )
+
+from dual_basis import dual_basis
 
 
 def test_intersection_examples(bundled):
@@ -52,6 +55,45 @@ def test_linear_relations(bundled):
     for name, (fan, _) in bundled.items():
         for rel in linear_relations(fan):
             assert profile(fan, rel) == (0,) * fan.d, name
+
+
+def test_dual_bases_gram(bundled):
+    # every coordinate basis of H^2 that the intersection form makes
+    # nondegenerate has a dual basis with pair(D_a, D^b) = delta_ab
+    for name, (fan, _) in bundled.items():
+        if fan.d < 4:
+            continue
+        found = 0
+        for subset in combinations(range(1, fan.d + 1), fan.d - 2):
+            dual = dual_basis(fan, subset)
+            if dual is None:
+                continue
+            found += 1
+            for a, i in enumerate(subset):
+                for b, db in enumerate(dual):
+                    assert pair(fan, unit_vector(fan.d, i), db) == (1 if a == b else 0), (name, subset)
+        assert found, name
+
+
+def test_dual_bases_paper_choice(bundled):
+    x3 = bundled["X3"][0]
+    dual = dual_basis(x3, (1, 4, 5, 6))
+    paper_dual = [
+        (0, 1, 0, 0, 0, 0),  # D2
+        (0, 0, 1, 0, 0, 0),  # D3
+        (0, 0, 2, 1, 0, 0),  # D4 + 2 D3
+        (1, 2, 0, 0, 0, 0),  # D1 + 2 D2
+    ]
+    assert len(dual) == len(paper_dual)
+    for mine, theirs in zip(dual, paper_dual):
+        assert classes_equal(x3, mine, theirs)
+
+
+def test_dual_bases_f0(bundled):
+    f0 = bundled["F0"][0]
+    dual = dual_basis(f0, (1, 2))
+    assert classes_equal(f0, dual[0], unit_vector(4, 2))
+    assert classes_equal(f0, dual[1], unit_vector(4, 1))
 
 
 def test_fiber_classes_examples(bundled):

@@ -6,10 +6,8 @@ from sftoric.errors import IsP2, NotPrimitivePair, NotSemiFano, ParameterMismatc
 from sftoric.fan import Fan, P2_RAYS
 from sftoric.homology import (
     classes_equal,
-    intersection,
     pair,
     reduce_class,
-    solve_linear,
     unit_vector,
 )
 from sftoric.kahler import KahlerSpec
@@ -23,6 +21,8 @@ from sftoric.quantum import (
     quantum_product,
     quantum_sr_relations,
 )
+
+from dual_basis import dual_basis
 
 
 def qm(k, *exps_list):
@@ -167,22 +167,6 @@ def test_quantum_products_reject_non_semi_fano():
         quantum_product(fan, spec, 2, 4)
     with pytest.raises(NotSemiFano):
         quantum_sr_relations(fan, spec)
-
-
-def dual_basis(fan, subset):
-    """The divisor classes dual to [D_i], i in subset, or None if they are no basis."""
-    n = len(subset)
-    gram = [[intersection(fan, a, b) for b in subset] for a in subset]
-    rank, inv = solve_linear(gram, [unit_vector(n, r) for r in range(1, n + 1)])
-    if rank < n:
-        return None
-    dual = []
-    for row in inv:
-        vec = [0] * fan.d
-        for i, x in zip(subset, row):
-            vec[i - 1] += x
-        dual.append(tuple(vec))
-    return dual
 
 
 def test_curve_class_is_its_own_poincare_dual(bundled):
