@@ -3,7 +3,7 @@ cohomology of semi-Fano toric surfaces, in exact arithmetic."""
 
 from .disks import DiskClass, enumerate_admissible, is_admissible_class, open_gw
 from .fan import Fan, classify_semi_fano, fans_isomorphic, validate_fan
-from .kahler import KahlerSpec, TForm
+from .kahler import KahlerSpec
 from .laurent import LaurentPoly, QPoly, canonical_string
 from .potential import bulk_superpotential, hori_vafa, superpotential, z_beta
 from .quantum import quantum_product, quantum_sr_relations
@@ -22,7 +22,6 @@ __all__ = [
     "KahlerSpec",
     "LaurentPoly",
     "QPoly",
-    "TForm",
     "bulk_superpotential",
     "canonical_string",
     "classify_semi_fano",

@@ -30,17 +30,18 @@ class FullCycle(ToricError):
 # --- polytope / Kahler data ---
 
 class DegenerateEdge(ToricError):
-    """An edge length form is identically zero."""
+    """An edge length is identically zero in the Kahler parameters."""
 
 
 class InvalidKahlerData(ToricError):
     """Rows that do not fit the fan, or no grid point t makes every edge positive."""
 
 
-# --- Laurent algebra ---
+# --- mismatched inputs ---
 
 class ParameterMismatch(ToricError):
-    """Inputs that do not match: parameter counts, fan vs KahlerSpec, divisor length."""
+    """Inputs that do not match: parameter counts, fan vs KahlerSpec, or a
+    class or divisor vector without one entry per ray."""
 
 
 class OutOfRange(ToricError):
@@ -58,11 +59,7 @@ class NotSemiFano(ToricError):
 
 
 class NonIntegralPairing(ToricError):
-    """The bulk divisor must be an integer divisor class."""
-
-
-class UnsupportedBulk(ToricError):
-    """Point-class bulk deformations are not computed."""
+    """The bulk divisor must be an integer class with one entry per ray."""
 
 
 # --- homology and quantum products ---

@@ -5,7 +5,8 @@ toric prime divisors D_1..D_d; two vectors represent the same (co)homology
 class iff they differ by the span of the linear-equivalence relations
 L_j = sum_i v_i^j D_i.  The intersection pairing descends to H^2 and the
 pairing profile against all D_i separates classes, which is how equality and
-membership tests are implemented.
+membership tests are implemented.  The functions taking class vectors raise
+ParameterMismatch for a vector without one entry per ray.
 """
 
 from __future__ import annotations
@@ -36,8 +37,15 @@ def gram_matrix(fan: Fan) -> list[list[int]]:
     return [[intersection(fan, i, j) for j in range(1, d + 1)] for i in range(1, d + 1)]
 
 
+def _check_length(fan: Fan, *vectors: Sequence) -> None:
+    for x in vectors:
+        if len(x) != fan.d:
+            raise ParameterMismatch(f"class vector with {len(x)} entries for {fan.d} rays")
+
+
 def pair(fan: Fan, x: Sequence, y: Sequence):
     """Bilinear extension of the intersection pairing to class vectors."""
+    _check_length(fan, x, y)
     g = gram_matrix(fan)
     total = 0
     for a, xa in enumerate(x):
@@ -50,6 +58,7 @@ def pair(fan: Fan, x: Sequence, y: Sequence):
 
 def profile(fan: Fan, x: Sequence) -> tuple:
     """Pairings (x . D_1, ..., x . D_d); determines the class of x in H^2."""
+    _check_length(fan, x)
     g = gram_matrix(fan)
     d = fan.d
     return tuple(sum(g[a][b] * x[a] for a in range(d) if x[a]) for b in range(d))
@@ -57,6 +66,7 @@ def profile(fan: Fan, x: Sequence) -> tuple:
 
 def chern_number(fan: Fan, alpha: Sequence[int]) -> int:
     """c_1(alpha) = alpha . sum_i D_i = sum_k m_k (2 + D_k^2) by adjunction."""
+    _check_length(fan, alpha)
     return sum(
         m * (2 + fan.self_intersection(k)) for k, m in enumerate(alpha, start=1) if m
     )
@@ -155,8 +165,7 @@ def reduce_class(fan: Fan, x: Sequence) -> Vector:
     its inverse is integral and integer input stays integral.  The entries
     may be rationals or QPoly coefficients, which reduce the same way.
     """
-    if len(x) != fan.d:
-        raise ParameterMismatch(f"class vector with {len(x)} entries for {fan.d} rays")
+    _check_length(fan, x)
     (u1, u2), (w1, w2) = fan.rays[-2:]
     xu, xw = x[-2], x[-1]
     lam1 = w2 * xu - u2 * xw

@@ -369,9 +369,6 @@ class LaurentPoly:
     def coefficient(self, zexp: Sequence[int]) -> QPoly:
         return self.terms.get(tuple(zexp), QPoly.zero(self.k))
 
-    def support(self) -> list[ZExp]:
-        return sorted(self.terms)
-
     # --- the operations the mirror computation needs ---
 
     def log_derivative(self, j: int) -> "LaurentPoly":

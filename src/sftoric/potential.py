@@ -15,11 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-import math
 from typing import Sequence
 
 from .disks import DiskClass, enumerate_admissible
-from .errors import NonIntegralPairing, NotSemiFano, UnsupportedBulk
+from .errors import NonIntegralPairing, NotSemiFano
+from .fan import Fan
 from .homology import pair
 from .kahler import KahlerSpec
 from .laurent import LaurentPoly, QPoly, canonical_string
@@ -28,9 +28,14 @@ from .laurent import LaurentPoly, QPoly, canonical_string
 def z_beta(spec: KahlerSpec, b: DiskClass) -> LaurentPoly:
     """The monomial Z_b (a single Laurent term with a single q-monomial)."""
     base = spec.disk_coefficient(b.i)
-    area = spec.curve_area(b.alpha).coeffs
+    area = spec.curve_area(b.alpha)
     exps = tuple(x + y for x, y in zip(base, area)) if any(area) else base
     return LaurentPoly.monomial(spec.k, spec.fan.ray(b.i), QPoly.monomial(spec.k, exps))
+
+
+def disk_pairing(fan: Fan, D: Sequence, b: DiskClass):
+    """<b, D> = D_i + D.alpha for the disk class b = beta_i + alpha."""
+    return D[b.i - 1] + pair(fan, D, b.alpha)
 
 
 @dataclass(slots=True)
@@ -68,8 +73,7 @@ class BulkPotential:
 
     ``parts[m]`` collects the Z_b with <b, D> = m, so the potential reads
     sum_m exp(m) * parts[m] plus the constant already folded into parts[0].
-    The symbol exp(m) is kept formal; ``canonical_string(numeric=True)``
-    evaluates it as a float for display only.
+    The symbol exp(m) is kept formal.
     """
 
     k: int
@@ -81,37 +85,23 @@ class BulkPotential:
             raise ValueError("bulk potential has nontrivial exp factors")
         return self.parts.get(0, LaurentPoly.zero(self.k))
 
-    def canonical_string(self, numeric: bool = False) -> str:
+    def canonical_string(self) -> str:
         if not self.parts:
             return "0"
         chunks = []
         for m in sorted(self.parts):
             body = canonical_string(self.parts[m])
-            if m == 0:
-                chunks.append(body)
-            elif numeric:
-                chunks.append(f"{math.exp(m)!r}*({body})")
-            else:
-                chunks.append(f"exp({m})*({body})")
+            chunks.append(body if m == 0 else f"exp({m})*({body})")
         return " + ".join(chunks)
 
 
-def bulk_superpotential(
-    spec: KahlerSpec,
-    a=0,
-    D: Sequence | None = None,
-    point_coefficient=0,
-) -> BulkPotential:
+def bulk_superpotential(spec: KahlerSpec, a=0, D: Sequence | None = None) -> BulkPotential:
     """a + sum over admissible b of exp(<b, D>) * Z_b for a divisor class D.
 
-    The pairing <b, D> is D_i-coefficient of D at the basic index plus the
-    intersection of D with the sphere part.  Point-class bulk insertions are
-    not computed by the underlying theory and raise UnsupportedBulk.
+    The terms Z_b are those of ``superpotential``; D must be an integral
+    class with one entry per ray, else NonIntegralPairing.
     """
-    if point_coefficient:
-        raise UnsupportedBulk("point-class bulk invariants are not computed")
-    if not spec.fan.is_semi_fano():
-        raise NotSemiFano("the disk count formula requires a semi-Fano surface")
+    pot = superpotential(spec)
     d = spec.fan.d
     if D is None:
         D = (0,) * d
@@ -122,10 +112,9 @@ def bulk_superpotential(
         raise NonIntegralPairing("bulk divisor class must be integral")
     D = tuple(int(m) for m in D)
     parts: dict[int, LaurentPoly] = {}
-    for b in enumerate_admissible(spec.fan):
-        m = D[b.i - 1] + pair(spec.fan, D, b.alpha)
-        term = z_beta(spec, b)
-        parts[m] = parts.get(m, LaurentPoly.zero(spec.k)) + term
+    for b, term in pot.classes:
+        m = disk_pairing(spec.fan, D, b)
+        parts[m] = parts[m] + term if m in parts else term
     a = Fraction(a)
     if a:
         parts[0] = parts.get(0, LaurentPoly.zero(spec.k)) + LaurentPoly.constant(spec.k, a)

@@ -137,20 +137,25 @@ def c1_one_classes(fan: Fan) -> list[tuple[int, ...]]:
     return sorted(seen.values())
 
 
+def _gw_by_profile(fan: Fan, alpha: Sequence[int], c1: int, classes) -> int:
+    """1 when alpha has the class of one of ``classes(fan)``, else 0.
+
+    Raises WrongChern unless c_1(alpha) = c1.
+    """
+    if chern_number(fan, alpha) != c1:
+        raise WrongChern(f"c_1(alpha) = {chern_number(fan, alpha)}, expected {c1}")
+    target = profile(fan, alpha)
+    return 1 if any(profile(fan, rep) == target for rep in classes(fan)) else 0
+
+
 def gw_c1_2_point(fan: Fan, alpha: Sequence[int]) -> int:
     """One-point genus zero GW invariant of a class with c_1 = 2 (0 or 1)."""
-    if chern_number(fan, alpha) != 2:
-        raise WrongChern(f"c_1(alpha) = {chern_number(fan, alpha)}, expected 2")
-    target = profile(fan, alpha)
-    return 1 if any(profile(fan, rep) == target for rep in c1_two_classes(fan)) else 0
+    return _gw_by_profile(fan, alpha, 2, c1_two_classes)
 
 
 def gw_c1_1(fan: Fan, alpha: Sequence[int]) -> int:
     """Unconstrained genus zero GW invariant of a class with c_1 = 1 (0 or 1)."""
-    if chern_number(fan, alpha) != 1:
-        raise WrongChern(f"c_1(alpha) = {chern_number(fan, alpha)}, expected 1")
-    target = profile(fan, alpha)
-    return 1 if any(profile(fan, rep) == target for rep in c1_one_classes(fan)) else 0
+    return _gw_by_profile(fan, alpha, 1, c1_one_classes)
 
 
 def _curve_data(fan: Fan, spec: KahlerSpec):
@@ -165,7 +170,7 @@ def _curve_data(fan: Fan, spec: KahlerSpec):
     def table(reps):
         return [
             (profile(fan, rep), reduce_class(fan, rep),
-             QPoly.monomial(spec.k, spec.curve_area(rep).coeffs))
+             QPoly.monomial(spec.k, spec.curve_area(rep)))
             for rep in reps
         ]
 
@@ -214,15 +219,16 @@ def quantum_product(fan: Fan, spec: KahlerSpec, i: int, j: int) -> QHElement:
     D_i * D_j = sum_{c1(a)=2} (D_i.a)(D_j.a) GW(a; pt) q^a
               + sum_{c1(a)=1} (D_i.a)(D_j.a) GW(a) q^a [a],
     where [a] = sum_m (D^m.a) D_m for any dual bases {D^m}, {D_m} of H^2 by
-    Poincare duality; [a] is reduced modulo linear equivalence.  Raises
-    ParameterMismatch when fan is not spec.fan.
+    Poincare duality; [a] is reduced modulo linear equivalence.  This is the
+    entry of the pair in ``quantum_sr_relations``.  Raises ParameterMismatch
+    when fan is not spec.fan.
     """
     _check_supported(fan, spec)
     d = fan.d
     i0, j0 = (i - 1) % d + 1, (j - 1) % d + 1
     if i0 == j0 or (i0 - j0) % d in (1, d - 1):
         raise NotPrimitivePair(f"rays {i0}, {j0} span a cone")
-    return _product(fan, spec.k, _curve_data(fan, spec), i0, j0)
+    return dict(quantum_sr_relations(fan, spec))[min(i0, j0), max(i0, j0)]
 
 
 def quantum_sr_relations(fan: Fan, spec: KahlerSpec):

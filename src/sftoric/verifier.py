@@ -38,10 +38,10 @@ from typing import Sequence
 
 from .errors import IsP2, NotSemiFano, OutOfRange, ParameterMismatch
 from .fan import Fan, det
-from .homology import linear_relations, pair, solve_linear, unit_vector
+from .homology import linear_relations, solve_linear, unit_vector
 from .kahler import KahlerSpec
 from .laurent import LaurentPoly, QPoly
-from .potential import superpotential
+from .potential import disk_pairing, superpotential
 from .quantum import QHElement, primitive_pairs, quantum_sr_relations
 
 
@@ -54,15 +54,14 @@ def psi_divisor(spec: KahlerSpec, D: Sequence) -> LaurentPoly:
     """psi(D) = sum over admissible b of (D . b) Z_b, extended linearly.
 
     D is a divisor class vector (rational entries allowed) with one entry per
-    ray, else ParameterMismatch; the pairing with b = beta_i + alpha is the
-    i-th coefficient plus the intersection with the sphere part.
+    ray, else ParameterMismatch; (D . b) is ``potential.disk_pairing``.
     """
     fan = spec.fan
     if len(D) != fan.d:
         raise ParameterMismatch(f"divisor class with {len(D)} entries for {fan.d} rays")
     out = LaurentPoly.zero(spec.k)
     for b, term in superpotential(spec).classes:
-        weight = D[b.i - 1] + pair(fan, D, b.alpha)
+        weight = disk_pairing(fan, D, b)
         if weight:
             out = out + term.scale(Fraction(weight))
     return out
@@ -234,7 +233,7 @@ def off_cone_edge(spec: KahlerSpec, qvals: Sequence[Fraction]) -> int | None:
     """
     for i in range(1, spec.d + 1):
         m = Fraction(1)
-        for q, e in zip(qvals, spec.edge_length(i).coeffs):
+        for q, e in zip(qvals, spec.edge_length(i)):
             if e:
                 m *= Fraction(q) ** e
         if m >= 1:

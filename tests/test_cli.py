@@ -8,6 +8,8 @@ from sftoric.surfaces import BUNDLED, bundled_text, parse_surface
 
 GOLDEN = Path(__file__).parent / "golden" / "appendix_table.txt"
 GOLDEN_QH = Path(__file__).parent / "golden" / "qh.txt"
+GOLDEN_PSI = Path(__file__).parent / "golden" / "psi.txt"
+GOLDEN_VERIFY = Path(__file__).parent / "golden" / "verify.txt"
 
 
 def run(capsys, *argv):
@@ -113,6 +115,26 @@ def test_cli_qh_golden(capsys):
         assert rc == 0 and err == "", name
         blocks.append(f"# {name}\n{out}")
     assert "".join(blocks) == GOLDEN_QH.read_text()
+
+
+def test_cli_psi_golden(capsys):
+    # all 16 bundled surfaces, each block headed by "# NAME"
+    blocks = []
+    for name in BUNDLED:
+        rc, out, err = run(capsys, "psi", name)
+        assert rc == 0 and err == "", name
+        blocks.append(f"# {name}\n{out}")
+    assert "".join(blocks) == GOLDEN_PSI.read_text()
+
+
+def test_cli_verify_golden(capsys):
+    # all 16 bundled surfaces at the default q-sample; P2 prints its note
+    blocks = []
+    for name in BUNDLED:
+        rc, out, err = run(capsys, "verify", name)
+        assert rc == 0 and err == "", name
+        blocks.append(f"# {name}\n{out}")
+    assert "".join(blocks) == GOLDEN_VERIFY.read_text()
 
 
 def test_cli_verify(capsys):

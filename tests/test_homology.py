@@ -139,6 +139,22 @@ def test_reduce_class_properties(bundled):
             reduce_class(f0, x)
 
 
+def test_class_vectors_must_have_one_entry_per_ray(bundled):
+    # F0 has four rays: a short or a long vector is an error, not a pairing
+    f0 = bundled["F0"][0]
+    with pytest.raises(ParameterMismatch):
+        pair(f0, (1, 0, 0), (0, 1, 0, 0))
+    with pytest.raises(ParameterMismatch):
+        pair(f0, (0, 1, 0, 0), (1, 0, 0, 0, 1))
+    for x in ((1, 0, 0), (1, 0, 0, 0, 1)):
+        with pytest.raises(ParameterMismatch):
+            profile(f0, x)
+        with pytest.raises(ParameterMismatch):
+            chern_number(f0, x)
+    assert pair(f0, (1, 0, 0, 0), (0, 1, 0, 0)) == 1
+    assert profile(f0, (1, 0, 0, 0)) == (0, 1, 0, 1)
+
+
 def test_solve_linear_rectangular_rank_deficient():
     # rows 1 and 2 are dependent: rank 2 of 3 rows, two unknowns
     matrix = [[1, 2], [2, 4], [0, Fraction(1, 3)]]

@@ -136,6 +136,17 @@ def test_quantum_product_x1(bundled):
     assert all(c.is_zero() for c in el24.divisor)
 
 
+def test_quantum_product_is_the_relation_entry(bundled):
+    # one code path: the product of a pair, in either order and with indices
+    # taken cyclically, is its entry in the relations of the surface
+    for name, (fan, spec) in bundled.items():
+        if fan.d == 3:
+            continue
+        for (i, j), el in quantum_sr_relations(fan, spec):
+            assert quantum_product(fan, spec, i, j) == el, (name, i, j)
+            assert quantum_product(fan, spec, j + fan.d, i) == el, (name, i, j)
+
+
 def test_quantum_product_errors(bundled):
     fan, spec = bundled["X3"]
     with pytest.raises(NotPrimitivePair):
@@ -216,7 +227,7 @@ def test_quantum_product_basis_independence(bundled):
             vec = [QPoly.zero(k)] * d
             for a in c1_one_classes(fan):
                 c = pair(fan, unit_vector(d, i), a) * pair(fan, unit_vector(d, j), a)
-                qa = QPoly.monomial(k, spec.curve_area(a).coeffs)
+                qa = QPoly.monomial(k, spec.curve_area(a))
                 for m, u in zip(subset, dual):
                     vec[m - 1] = vec[m - 1] + qa.scale(c * pair(fan, u, a))
             product = quantum_product(fan, spec, i, j)
