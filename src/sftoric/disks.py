@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Mapping
 
-from .errors import WrongMaslov
+from .errors import ParameterMismatch, WrongMaslov
 from .fan import Fan, MinusTwoChain
 from .homology import chern_number
 
@@ -56,7 +56,7 @@ def is_admissible_sequence(s: Mapping[int, int], center: int) -> bool:
     keys = sorted(s)
     m1, m2 = keys[0], keys[-1]
     if keys != list(range(m1, m2 + 1)):
-        raise ValueError("sequence indices must form a contiguous interval")
+        raise ParameterMismatch("sequence indices must form a contiguous interval")
     if any(not isinstance(v, int) or v < 1 for v in s.values()):
         return False
     if s[m1] > 1 or s[m2] > 1:

@@ -20,7 +20,8 @@ class NotSmooth(ToricError):
 
 
 class NotComplete(ToricError):
-    """The rays do not wrap around the origin exactly once."""
+    """The rays do not wrap around the origin exactly once, or fewer than three
+    rays are asked for."""
 
 
 class FullCycle(ToricError):
@@ -40,12 +41,14 @@ class InvalidKahlerData(ToricError):
 # --- mismatched inputs ---
 
 class ParameterMismatch(ToricError):
-    """Inputs that do not match: parameter counts, fan vs KahlerSpec, or a
-    class or divisor vector without one entry per ray."""
+    """Inputs that do not match: parameter counts, fan vs KahlerSpec, a class
+    or divisor vector without one entry per ray, or a sequence whose indices
+    are not one interval."""
 
 
 class OutOfRange(ToricError):
-    """A q-sample outside the open interval (0, 1) or off the open Kahler cone."""
+    """A q-sample outside the open interval (0, 1) or off the open Kahler cone,
+    or a log-derivative index other than 1 or 2."""
 
 
 # --- disks and potentials ---
@@ -59,7 +62,7 @@ class NotSemiFano(ToricError):
 
 
 class NonIntegralPairing(ToricError):
-    """The bulk divisor must be an integer class with one entry per ray."""
+    """The bulk divisor class must be integral."""
 
 
 # --- homology and quantum products ---

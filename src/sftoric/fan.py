@@ -224,7 +224,7 @@ def classify_semi_fano(max_rays: int = 9) -> list[Fan]:
     count and then by canonical encoding.
     """
     if max_rays < 3:
-        raise ValueError("max_rays must be at least 3")
+        raise NotComplete("max_rays must be at least 3")
     seeds = [Fan(P2_RAYS), Fan(F0_RAYS), Fan(F2_RAYS)]
     classes: dict[tuple, Fan] = {}
     frontier: list[Fan] = []

@@ -1,19 +1,20 @@
 """Exact Laurent polynomials in z_1, z_2 over rational polynomials in q_1..q_k.
 
-Coefficients are QPoly values: finite sums of q-monomials with exact rational
-coefficients, each stored as an ``int`` when it is integral and as a
-``fractions.Fraction`` otherwise.  q-exponents are integers and may be
-negative (bundled surfaces X7..X11 need q-ratios), z-exponents likewise.
-Arithmetic never normalizes away exactness; zero terms are dropped eagerly.
+QPoly and LaurentPoly share one sparse-polynomial kernel (``_Sparse``): the
+parameter count ``k`` and two parallel tuples, the integer exponent vectors
+and their nonzero coefficients.  A QPoly has q-exponents of length k and
+rational coefficients, each an ``int`` when integral and a ``Fraction``
+otherwise; a LaurentPoly has z-exponents of length 2 and QPoly coefficients
+over the same k.  Exponents may be negative (X7..X11 need q-ratios).
 
-The public constructors normalize their input once.  Every ring operation
-builds its result from terms that are already clean (nonzero coefficients,
-integer exponent tuples) without checking them again, reuses its operands'
-exponent tuples and coefficients where it can, and returns the one shared
-zero QPoly of its k when the result vanishes.  A QPoly keeps its terms in
-two parallel tuples rather than a dict: results such as the quantum
-relations and psi hold many small coefficients, and for two or three terms
-the tuples take about a third less memory.
+The public constructors normalize their input once.  Each ring operation
+(``+``, ``-``, ``*``, ``scale``) is written once for both types: it builds
+its result from clean terms without checking them again, reuses its
+operands' exponent tuples and coefficients where it can, and returns the one
+shared zero of its type and k when the result vanishes.  Values are
+immutable, and ``terms`` returns a fresh dict, so writing into it changes
+nothing.  Parallel tuples take about a third less memory than a dict for
+the small coefficients that the quantum relations and psi hold.
 
 ``canonical_string`` is the package's stable, bit-exact text grammar:
 
@@ -49,81 +50,68 @@ def _lean(c) -> Coeff:
     return c.numerator if c.denominator == 1 else c
 
 
-def _integral(v: Coeff) -> Coeff:
+def _integral(v):
     """A computed coefficient: an integral Fraction becomes an int."""
     return v.numerator if type(v) is Fraction and v.denominator == 1 else v
 
 
-def _int_tuple(t) -> bool:
-    return type(t) is tuple and all(type(x) is int for x in t)
+class _Sparse:
+    """Sum of c_e * x^e over parallel tuples of exponent vectors and coefficients.
 
-
-class QPoly:
-    """Polynomial in q_1..q_k with rational coefficients and integer exponents.
-
-    The terms are stored as two parallel tuples, the exponent vectors and
-    their nonzero coefficients; ``terms`` returns them as a fresh dict.
+    A subclass sets ``_ring``, the polynomial type of its coefficients or None
+    for rationals, and ``_width``, the exponent length or None for k;
+    everything else is shared.
     """
 
     __slots__ = ("k", "_exps", "_coeffs")
 
-    def __new__(cls, k: int, terms: Mapping[QExp, Coeff] | None = None):
-        clean: dict[QExp, Coeff] = {}
+    def __new__(cls, k: int, terms: Mapping | None = None):
+        clean = {}
         if terms:
-            for exps, c in terms.items():
-                c = _lean(c)
+            ring, width = cls._ring, cls._width or k
+            for e, c in terms.items():
+                if ring is None:
+                    c = _lean(c)
+                elif c.k != k:
+                    raise ParameterMismatch(f"coefficient over k={c.k} in a polynomial over k={k}")
                 if not c:
                     continue
-                if not _int_tuple(exps):
-                    exps = tuple(int(e) for e in exps)
-                if len(exps) != k:
-                    raise ParameterMismatch(
-                        f"exponent vector {exps} does not have length {k}"
-                    )
-                clean[exps] = c
-        return _qpoly(k, clean)
+                if type(e) is not tuple or not all(type(x) is int for x in e):
+                    e = tuple(int(x) for x in e)
+                if len(e) != width:
+                    raise ParameterMismatch(f"exponent vector {e} does not have length {width}")
+                clean[e] = c
+        return _from_dict(cls, k, clean)
+
+    @classmethod
+    def zero(cls, k: int):
+        """The zero polynomial; one shared object per type and k."""
+        z = _ZEROS.get((cls, k))
+        if z is None:
+            z = _ZEROS[cls, k] = _make(cls, k, (), ())
+        return z
 
     def __setattr__(self, name, value):
-        raise AttributeError("QPoly is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __reduce__(self):
         # copy and pickle rebuild through the constructor: zero stays shared
-        return (QPoly, (self.k, self.terms))
+        return (type(self), (self.k, self.terms))
 
     @property
-    def terms(self) -> dict[QExp, Coeff]:
+    def terms(self) -> dict:
         """Exponent vector -> coefficient, as a new dict."""
         return dict(zip(self._exps, self._coeffs))
 
-    # --- constructors ---
-
-    @staticmethod
-    def zero(k: int) -> "QPoly":
-        """The zero polynomial; one shared object per k."""
-        z = _ZEROS.get(k)
-        if z is None:
-            z = _ZEROS[k] = _build(k, (), ())
-        return z
-
-    @staticmethod
-    def constant(k: int, c) -> "QPoly":
-        return QPoly(k, {(0,) * k: c})
-
-    @staticmethod
-    def one(k: int) -> "QPoly":
-        return QPoly.constant(k, 1)
-
-    @staticmethod
-    def monomial(k: int, exps: Sequence[int], c=1) -> "QPoly":
-        return QPoly(k, {tuple(exps): c})
-
     # --- ring structure ---
 
-    def _check(self, other: "QPoly"):
+    def _check(self, other):
+        if type(other) is not type(self):
+            raise TypeError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
         if self.k != other.k:
-            raise ParameterMismatch(f"QPoly over k={self.k} vs k={other.k}")
+            raise ParameterMismatch(f"{type(self).__name__} over k={self.k} vs k={other.k}")
 
-    def __add__(self, other: "QPoly") -> "QPoly":
+    def __add__(self, other):
         self._check(other)
         big, small = (self, other) if len(self._exps) >= len(other._exps) else (other, self)
         if not small._exps:
@@ -134,24 +122,24 @@ class QPoly:
             if v is None:
                 out[e] = c
             else:
-                v += c
+                v = v + c
                 if v:
                     out[e] = _integral(v)
                 else:
                     del out[e]
-        return _qpoly(self.k, out)
+        return _from_dict(type(self), self.k, out)
 
-    def __sub__(self, other: "QPoly") -> "QPoly":
+    def __sub__(self, other):
         return self + (-other)
 
-    def __neg__(self) -> "QPoly":
+    def __neg__(self):
         if not self._exps:
             return self
-        return _build(self.k, self._exps, tuple(-c for c in self._coeffs))
+        return _make(type(self), self.k, self._exps, tuple(-c for c in self._coeffs))
 
-    def __mul__(self, other) -> "QPoly":
-        """Product with a QPoly, or with an int or Fraction (as ``scale``)."""
-        if not isinstance(other, QPoly):
+    def __mul__(self, other):
+        """Product with a polynomial of the same type, or with an int or Fraction."""
+        if type(other) is not type(self):
             if isinstance(other, (int, Fraction)):
                 return self.scale(other)
             return NotImplemented
@@ -159,31 +147,35 @@ class QPoly:
         a, b = (self, other) if len(self._exps) >= len(other._exps) else (other, self)
         if len(b._exps) == 1 and not any(b._exps[0]):
             return a.scale(b._coeffs[0])
-        out: dict[QExp, Coeff] = {}
+        out = {}
         for e2, c2 in zip(b._exps, b._coeffs):
             for e1, c1 in zip(a._exps, a._coeffs):
                 e = tuple(map(add, e1, e2))
                 v = out.get(e)
                 out[e] = c1 * c2 if v is None else v + c1 * c2
-        return _qpoly(self.k, {e: _integral(v) for e, v in out.items() if v})
+        return _from_dict(type(self), self.k, {e: _integral(v) for e, v in out.items() if v})
 
-    def __rmul__(self, other) -> "QPoly":
+    def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
 
-    def scale(self, c) -> "QPoly":
-        """Multiply by a rational scalar; ``scale(1)`` is the polynomial itself."""
-        c = _lean(c)
-        if c == 1:
-            return self
+    def scale(self, c):
+        """Multiply by a rational scalar, or a LaurentPoly by a QPoly.
+
+        ``scale(1)`` is the polynomial itself.
+        """
+        if type(c) is not self._ring:
+            c = _lean(c)
+            if c == 1:
+                return self
         if not c or not self._exps:
-            return QPoly.zero(self.k)
-        return _build(self.k, self._exps, tuple(_integral(c * v) for v in self._coeffs))
+            return self.zero(self.k)
+        return _make(type(self), self.k, self._exps, tuple(_integral(v * c) for v in self._coeffs))
 
     def __eq__(self, other) -> bool:
         return (
-            isinstance(other, QPoly)
+            type(other) is type(self)
             and self.k == other.k
             and len(self._exps) == len(other._exps)
             and self.terms == other.terms
@@ -197,6 +189,47 @@ class QPoly:
 
     def __bool__(self) -> bool:
         return bool(self._exps)
+
+
+_ZEROS: dict[tuple[type, int], _Sparse] = {}  # zero(k) of each type, made on first use
+# the slot setters, which skip the immutability guard and the attribute lookup
+_SET_K, _SET_EXPS, _SET_COEFFS = (_Sparse.__dict__[name].__set__ for name in _Sparse.__slots__)
+
+
+def _make(cls: type, k: int, exps: tuple, coeffs: tuple):
+    """A polynomial of type cls over parallel tuples that are already clean."""
+    p = object.__new__(cls)
+    _SET_K(p, k)
+    _SET_EXPS(p, exps)
+    _SET_COEFFS(p, coeffs)
+    return p
+
+
+def _from_dict(cls: type, k: int, terms: dict):
+    """A polynomial over terms that are already clean (nonzero, int when integral)."""
+    if not terms:
+        return cls.zero(k)
+    return _make(cls, k, tuple(terms), tuple(terms.values()))
+
+
+class QPoly(_Sparse):
+    """Polynomial in q_1..q_k with rational coefficients and integer exponents."""
+
+    __slots__ = ()
+    _ring = None
+    _width = None
+
+    @staticmethod
+    def constant(k: int, c) -> "QPoly":
+        return QPoly(k, {(0,) * k: c})
+
+    @staticmethod
+    def one(k: int) -> "QPoly":
+        return QPoly.constant(k, 1)
+
+    @staticmethod
+    def monomial(k: int, exps: Sequence[int], c=1) -> "QPoly":
+        return QPoly(k, {tuple(exps): c})
 
     def specialize(self, qvals: Sequence[Fraction]) -> Fraction:
         if len(qvals) != self.k:
@@ -218,25 +251,6 @@ class QPoly:
         return f"QPoly({qpoly_string(self)!r})"
 
 
-_ZEROS: dict[int, QPoly] = {}  # QPoly.zero(k), made on first use
-
-
-def _build(k: int, exps: tuple, coeffs: tuple) -> QPoly:
-    """A QPoly over parallel tuples that are already clean."""
-    p = object.__new__(QPoly)
-    object.__setattr__(p, "k", k)
-    object.__setattr__(p, "_exps", exps)
-    object.__setattr__(p, "_coeffs", coeffs)
-    return p
-
-
-def _qpoly(k: int, terms: dict[QExp, Coeff]) -> QPoly:
-    """A QPoly over terms that are already clean (nonzero, int when integral)."""
-    if not terms:
-        return QPoly.zero(k)
-    return _build(k, tuple(terms), tuple(terms.values()))
-
-
 def share_tuples(p: QPoly, pool: dict[tuple, tuple]) -> QPoly:
     """p with its exponent and coefficient tuples taken from ``pool``.
 
@@ -249,39 +263,15 @@ def share_tuples(p: QPoly, pool: dict[tuple, tuple]) -> QPoly:
     coeffs = pool.setdefault(p._coeffs, p._coeffs)
     if exps is p._exps and coeffs is p._coeffs:
         return p
-    return _build(p.k, exps, coeffs)
+    return _make(QPoly, p.k, exps, coeffs)
 
 
-class LaurentPoly:
+class LaurentPoly(_Sparse):
     """Laurent polynomial in z_1, z_2 with QPoly coefficients."""
 
-    __slots__ = ("k", "terms")
-
-    def __new__(cls, k: int, terms: Mapping[ZExp, QPoly] | None = None):
-        clean: dict[ZExp, QPoly] = {}
-        if terms:
-            for ze, qp in terms.items():
-                if qp.k != k:
-                    raise ParameterMismatch(
-                        f"coefficient over k={qp.k} in a polynomial over k={k}"
-                    )
-                if qp._exps:
-                    if len(ze) != 2 or not _int_tuple(ze):
-                        ze = (int(ze[0]), int(ze[1]))
-                    clean[ze] = qp
-        return _laurent(k, clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentPoly is immutable")
-
-    def __reduce__(self):
-        return (LaurentPoly, (self.k, self.terms))
-
-    # --- constructors ---
-
-    @staticmethod
-    def zero(k: int) -> "LaurentPoly":
-        return _laurent(k, {})
+    __slots__ = ()
+    _ring = QPoly
+    _width = 2
 
     @staticmethod
     def constant(k: int, c) -> "LaurentPoly":
@@ -293,92 +283,21 @@ class LaurentPoly:
             coeff = QPoly.one(k)
         return LaurentPoly(k, {tuple(zexp): coeff})
 
-    # --- ring structure ---
-
-    def _check(self, other: "LaurentPoly"):
-        if self.k != other.k:
-            raise ParameterMismatch(f"LaurentPoly over k={self.k} vs k={other.k}")
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        self._check(other)
-        big, small = (self, other) if len(self.terms) >= len(other.terms) else (other, self)
-        if not small.terms:
-            return big
-        out = dict(big.terms)
-        for ze, qp in small.terms.items():
-            cur = out.get(ze)
-            if cur is None:
-                out[ze] = qp
-            else:
-                s = cur + qp
-                if s._exps:
-                    out[ze] = s
-                else:
-                    del out[ze]
-        return _laurent(self.k, out)
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "LaurentPoly":
-        return _laurent(self.k, {ze: -qp for ze, qp in self.terms.items()})
-
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        self._check(other)
-        out: dict[ZExp, QPoly] = {}
-        for z1, q1 in self.terms.items():
-            for z2, q2 in other.terms.items():
-                ze = (z1[0] + z2[0], z1[1] + z2[1])
-                prod = q1 * q2
-                cur = out.get(ze)
-                out[ze] = prod if cur is None else cur + prod
-        return _laurent(self.k, {ze: qp for ze, qp in out.items() if qp._exps})
-
-    def scale(self, c) -> "LaurentPoly":
-        """Multiply by a QPoly or a rational scalar."""
-        if isinstance(c, QPoly):
-            out = {}
-            for ze, qp in self.terms.items():
-                prod = qp * c
-                if prod._exps:
-                    out[ze] = prod
-            return _laurent(self.k, out)
-        c = _lean(c)
-        if c == 1:
-            return self
-        if not c:
-            return LaurentPoly.zero(self.k)
-        return _laurent(self.k, {ze: qp.scale(c) for ze, qp in self.terms.items()})
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LaurentPoly)
-            and self.k == other.k
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.k, tuple(sorted(self.terms.items(), key=lambda t: t[0]))))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
     def coefficient(self, zexp: Sequence[int]) -> QPoly:
-        return self.terms.get(tuple(zexp), QPoly.zero(self.k))
+        try:
+            return self._coeffs[self._exps.index(tuple(zexp))]
+        except ValueError:
+            return QPoly.zero(self.k)
 
     # --- the operations the mirror computation needs ---
 
     def log_derivative(self, j: int) -> "LaurentPoly":
         """z_j * d/dz_j: each term c * z^e goes to (e_j * c) * z^e."""
         if j not in (1, 2):
-            raise ValueError("j must be 1 or 2")
-        return _laurent(
-            self.k,
-            {ze: qp.scale(ze[j - 1]) for ze, qp in self.terms.items() if ze[j - 1]},
-        )
+            raise OutOfRange("j must be 1 or 2")
+        terms = zip(self._exps, self._coeffs)
+        out = {ze: qp.scale(ze[j - 1]) for ze, qp in terms if ze[j - 1]}
+        return _from_dict(LaurentPoly, self.k, out)
 
     def specialize_q(self, qvals: Sequence) -> "LaurentPoly":
         """Substitute exact rationals for the q_l; result has k = 0."""
@@ -388,20 +307,12 @@ class LaurentPoly:
         for v in qvals:
             if not 0 < v < 1:
                 raise OutOfRange(f"q value {v} is not in (0, 1)")
-        out: dict[ZExp, QPoly] = {}
-        for ze, qp in self.terms.items():
+        out = {}
+        for ze, qp in zip(self._exps, self._coeffs):
             c = qp.specialize(qvals)
             if c:
-                out[ze] = _qpoly(0, {(): _lean(c)})
-        return _laurent(0, out)
-
-
-def _laurent(k: int, terms: dict[ZExp, QPoly]) -> LaurentPoly:
-    """A LaurentPoly over terms that are already clean (no zero coefficient)."""
-    p = object.__new__(LaurentPoly)
-    object.__setattr__(p, "k", k)
-    object.__setattr__(p, "terms", terms)
-    return p
+                out[ze] = _make(QPoly, 0, ((),), (_lean(c),))
+        return _from_dict(LaurentPoly, 0, out)
 
 
 # --- canonical rendering ---
@@ -465,4 +376,4 @@ def canonical_string(p: LaurentPoly) -> str:
     """Deterministic text form; injective on normalized polynomials."""
     if p.is_zero():
         return "0"
-    return " + ".join(sorted(term_string(ze, qp) for ze, qp in p.terms.items()))
+    return " + ".join(sorted(map(term_string, p._exps, p._coeffs)))

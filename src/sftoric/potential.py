@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .disks import DiskClass, enumerate_admissible
-from .errors import NonIntegralPairing, NotSemiFano
+from .errors import NonIntegralPairing, NotSemiFano, ParameterMismatch
 from .fan import Fan
 from .homology import pair
 from .kahler import KahlerSpec
@@ -79,12 +79,6 @@ class BulkPotential:
     k: int
     parts: dict[int, LaurentPoly]
 
-    def as_laurent(self) -> LaurentPoly:
-        """Exact Laurent form; only valid when every pairing was zero."""
-        if any(m != 0 for m in self.parts):
-            raise ValueError("bulk potential has nontrivial exp factors")
-        return self.parts.get(0, LaurentPoly.zero(self.k))
-
     def canonical_string(self) -> str:
         if not self.parts:
             return "0"
@@ -98,8 +92,8 @@ class BulkPotential:
 def bulk_superpotential(spec: KahlerSpec, a=0, D: Sequence | None = None) -> BulkPotential:
     """a + sum over admissible b of exp(<b, D>) * Z_b for a divisor class D.
 
-    The terms Z_b are those of ``superpotential``; D must be an integral
-    class with one entry per ray, else NonIntegralPairing.
+    The terms Z_b are those of ``superpotential``.  D must have one entry
+    per ray, else ParameterMismatch, and be integral, else NonIntegralPairing.
     """
     pot = superpotential(spec)
     d = spec.fan.d
@@ -107,7 +101,7 @@ def bulk_superpotential(spec: KahlerSpec, a=0, D: Sequence | None = None) -> Bul
         D = (0,) * d
     D = tuple(D)
     if len(D) != d:
-        raise NonIntegralPairing(f"divisor class must have {d} entries")
+        raise ParameterMismatch(f"divisor class with {len(D)} entries for {d} rays")
     if any(Fraction(m).denominator != 1 for m in D):
         raise NonIntegralPairing("bulk divisor class must be integral")
     D = tuple(int(m) for m in D)

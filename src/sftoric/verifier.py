@@ -108,10 +108,11 @@ def cofactor_certificates(
     rows: dict[tuple[int, int], int] = {}
     entries: dict[tuple[int, int], Fraction] = {}
     for half, g in enumerate((g1, g2)):
+        values = [(e, _value(c)) for e, c in g.terms.items()]
         for col, s in enumerate(support, start=half * n):
-            for e, c in g.terms.items():
+            for e, v in values:
                 row = rows.setdefault((s[0] + e[0], s[1] + e[1]), len(rows))
-                entries[row, col] = _value(c)
+                entries[row, col] = v
     targets: dict[tuple[int, int], Fraction] = {}
     for col, p in enumerate(polys):
         for m, c in p.terms.items():
@@ -162,11 +163,13 @@ def newton_dimension(fan: Fan, w: LaurentPoly) -> int | None:
     """
     if not fan.is_semi_fano():
         raise NotSemiFano("the Newton polygon argument requires a semi-Fano surface")
-    if not set(w.terms) <= {(0, 0), *fan.rays}:
+    terms = w.terms
+    if not set(terms) <= {(0, 0), *fan.rays}:
         return None
+    zero = QPoly.zero(w.k)
     corners = [i for i in range(1, fan.d + 1) if fan.self_intersection(i) != -2]
     for a, b in zip(corners, corners[1:] + [corners[0] + fan.d]):
-        f = [_value(w.coefficient(fan.ray(i))) for i in range(a, b + 1)]
+        f = [_value(terms.get(fan.ray(i), zero)) for i in range(a, b + 1)]
         if not (f[0] and f[-1] and _squarefree(f)):
             return None
     return sum(det(fan.ray(i), fan.ray(i + 1)) for i in range(1, fan.d + 1))

@@ -10,6 +10,7 @@ GOLDEN = Path(__file__).parent / "golden" / "appendix_table.txt"
 GOLDEN_QH = Path(__file__).parent / "golden" / "qh.txt"
 GOLDEN_PSI = Path(__file__).parent / "golden" / "psi.txt"
 GOLDEN_VERIFY = Path(__file__).parent / "golden" / "verify.txt"
+GOLDEN_SUPERPOTENTIAL = Path(__file__).parent / "golden" / "superpotential.txt"
 
 
 def run(capsys, *argv):
@@ -127,6 +128,21 @@ def test_cli_psi_golden(capsys):
     assert "".join(blocks) == GOLDEN_PSI.read_text()
 
 
+def test_cli_superpotential_golden(capsys, bundled):
+    # all 16 bundled surfaces, each block headed by "# NAME": plain W, the
+    # Hori-Vafa part, and the bulk form with D = D_d and constant 1/2
+    blocks = []
+    for name in BUNDLED:
+        divisor = ",".join(["0"] * (bundled[name][0].d - 1) + ["1"])
+        block = f"# {name}\n"
+        for extra in ([], ["--hori-vafa"], ["--bulk-divisor", divisor, "--bulk-constant", "1/2"]):
+            rc, out, err = run(capsys, "superpotential", name, *extra)
+            assert rc == 0 and err == "", (name, extra)
+            block += out
+        blocks.append(block)
+    assert "".join(blocks) == GOLDEN_SUPERPOTENTIAL.read_text()
+
+
 def test_cli_verify_golden(capsys):
     # all 16 bundled surfaces at the default q-sample; P2 prints its note
     blocks = []
@@ -177,6 +193,9 @@ def test_cli_classify(capsys):
     rc, out, _ = run(capsys, "classify", "--max-rays", "4")
     assert rc == 0
     assert out.strip().splitlines()[-1] == "4 classes, 3 Fano"  # F2 is not Fano
+    assert run(capsys, "classify", "--max-rays", "2") == (
+        2, "", "error: max_rays must be at least 3\n"
+    )
 
 
 def test_cli_table_golden(capsys):

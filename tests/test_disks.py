@@ -11,7 +11,7 @@ from sftoric.disks import (
     maslov_index,
     open_gw,
 )
-from sftoric.errors import WrongMaslov
+from sftoric.errors import ParameterMismatch, WrongMaslov
 from sftoric.fan import Fan, P2_RAYS
 
 
@@ -45,7 +45,7 @@ def test_sequence_examples():
     assert is_admissible_sequence({-1: 1, 0: 2, 1: 1}, 0)
     assert not is_admissible_sequence({0: 2, 1: 1}, 0)
     assert is_admissible_sequence({}, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterMismatch):
         is_admissible_sequence({0: 1, 2: 1}, 0)  # gap in the interval
 
 

@@ -160,6 +160,8 @@ def test_fans_isomorphic_examples():
 
 def test_classify_small():
     assert len(classify_semi_fano(3)) == 1
+    with pytest.raises(NotComplete, match="max_rays must be at least 3"):
+        classify_semi_fano(2)
     four = classify_semi_fano(4)
     assert len(four) == 4
     # oracle: every 4-ray complete smooth fan is some F_m (normalize the first

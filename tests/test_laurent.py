@@ -436,6 +436,17 @@ def test_laurent_kernel_matches_reference(data, k, c, cancel):
         assert terms_z(got) == want, name
     assert (a - a).terms == {}
     assert a.coefficient((9, 9)) is QPoly.zero(k)
+    # .terms is a copy: writing into it changes neither type
+    for p, key, value, text in (
+        (a, (9, 9), QPoly.one(k), canonical_string),
+        (qc, (9,) * k, 7, qpoly_string),
+    ):
+        twin, h, before = type(p)(k, p.terms), hash(p), text(p)
+        p.terms[key] = value
+        assert p == twin and hash(p) == h and text(p) == before
+    assert LaurentPoly.zero(k) is LaurentPoly.zero(k)
+    with pytest.raises(OutOfRange):
+        a.log_derivative(3)
     qvals = [Fraction(1, 2), Fraction(2, 3)][:k]
     special = a.specialize_q(qvals)
     assert_clean_z(special, 0)

@@ -4,7 +4,7 @@ import pytest
 
 from appendix_data import EXPECTED_W, build_unit
 from sftoric.disks import DiskClass, enumerate_admissible
-from sftoric.errors import NonIntegralPairing, NotSemiFano
+from sftoric.errors import NonIntegralPairing, NotSemiFano, ParameterMismatch
 from sftoric.fan import Fan
 from sftoric.kahler import KahlerSpec
 from sftoric.laurent import LaurentPoly, QPoly, canonical_string
@@ -97,9 +97,9 @@ def test_bulk_trivial_cases(bundled):
     _, spec = bundled["X1"]
     w = superpotential(spec).w
     b0 = bulk_superpotential(spec, 0, None)
-    assert set(b0.parts) == {0} and b0.as_laurent() == w
+    assert b0.parts == {0: w}
     b5 = bulk_superpotential(spec, 5, (0, 0, 0, 0))
-    assert b5.as_laurent() == w + LaurentPoly.constant(spec.k, 5)
+    assert b5.parts == {0: w + LaurentPoly.constant(spec.k, 5)}
 
 
 def test_bulk_divisor_pairings(bundled):
@@ -118,5 +118,5 @@ def test_bulk_errors(bundled):
     _, spec = bundled["X1"]
     with pytest.raises(NonIntegralPairing):
         bulk_superpotential(spec, 0, (Fraction(1, 2), 0, 0, 0))
-    with pytest.raises(NonIntegralPairing):
+    with pytest.raises(ParameterMismatch, match="divisor class with 2 entries for 4 rays"):
         bulk_superpotential(spec, 0, (1, 0))
