@@ -2,7 +2,7 @@
 cohomology of semi-Fano toric surfaces, in exact arithmetic."""
 
 from .disks import DiskClass, enumerate_admissible, is_admissible_class, open_gw
-from .fan import Fan, classify_semi_fano, fans_isomorphic, validate_fan
+from .fan import Fan, classify_semi_fano, fans_isomorphic
 from .kahler import KahlerSpec
 from .laurent import LaurentPoly, QPoly, canonical_string
 from .potential import bulk_superpotential, hori_vafa, superpotential, z_beta
@@ -37,7 +37,6 @@ __all__ = [
     "quantum_product",
     "quantum_sr_relations",
     "superpotential",
-    "validate_fan",
     "verify_homomorphism",
     "verify_linear_identity",
     "z_beta",

@@ -68,7 +68,7 @@ def cmd_superpotential(args) -> int:
     if args.bulk_divisor is not None or args.bulk_constant is not None:
         D = None
         if args.bulk_divisor is not None:
-            D = tuple(int(x) for x in args.bulk_divisor.split(","))
+            D = tuple(Fraction(x) for x in args.bulk_divisor.split(","))
         a = Fraction(args.bulk_constant) if args.bulk_constant is not None else 0
         print(bulk_superpotential(spec, a, D).canonical_string())
         return 0

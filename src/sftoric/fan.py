@@ -158,9 +158,8 @@ class Fan:
         """Star subdivision of the cone spanned by (v_i, v_{i+1}), 1-based."""
         d = self.d
         k = (i - 1) % d
-        new = self.rays[: k + 1] + (vec_add(self.rays[k], self.rays[(k + 1) % d]),)
-        new = new + self.rays[k + 1 :]
-        return Fan(new)
+        a, b = self.rays[k], self.rays[(k + 1) % d]
+        return Fan(self.rays[: k + 1] + ((a[0] + b[0], a[1] + b[1]),) + self.rays[k + 1 :])
 
     def canonical_form(self) -> tuple[Vec, ...]:
         """Normal form under lattice automorphisms, rotation and reflection.
@@ -193,15 +192,6 @@ class Fan:
 
     def __repr__(self) -> str:
         return f"Fan({list(self.rays)})"
-
-
-def vec_add(a: Vec, b: Vec) -> Vec:
-    return (a[0] + b[0], a[1] + b[1])
-
-
-def validate_fan(rays: Iterable[Sequence[int]]) -> Fan:
-    """Validate a ray list and wrap it as a Fan (order preserved)."""
-    return Fan(rays)
 
 
 def fans_isomorphic(f1: Fan, f2: Fan) -> bool:

@@ -1,4 +1,4 @@
-"""Moment polytopes with exact symbolic Kahler parameters.
+"""Kahler classes of toric surfaces with exact symbolic parameters.
 
 The polytope of a surface is cut out by the facet inequalities
 <v_i, x> >= c_i where each constant is an integer linear form in the Kahler
@@ -7,11 +7,14 @@ C_k t_k).  With q_l = exp(-t_l) this makes exp(c_i) the q-monomial with
 exponent vector (C_1, ..., C_k); the C_l may be negative (several bundled
 surfaces need mixed signs).
 
-Every linear form here (facet constants, vertex coordinates, edge lattice
-lengths and curve areas) is a plain tuple of k ints, its coefficients in the
-t_l.  An area form is therefore directly the q-exponent vector of exp(-area).
-Validity of the Kahler data is certified at one positive integer sample
-point, found by a grid search, where every edge has strictly positive length.
+Every linear form here (file rows, edge lattice lengths and curve areas) is
+a plain tuple of k ints, its coefficients in the t_l.  An area form is
+therefore directly the q-exponent vector of exp(-area).  The rows give the
+Kahler class omega = sum_j row_j D_j, and the area of a curve class alpha is
+omega . alpha through the intersection form; for alpha = D_i this is the
+lattice length of facet i.  Validity of the Kahler data is certified at one
+positive integer sample point, found by a grid search, where every edge has
+strictly positive length.
 """
 
 from __future__ import annotations
@@ -21,11 +24,16 @@ from typing import Sequence
 
 from .errors import DegenerateEdge, InvalidKahlerData, ParameterMismatch
 from .fan import Fan
+from .homology import gram_matrix
 
 
-def _combine(m: int, x: Sequence[int], n: int, y: Sequence[int]) -> tuple[int, ...]:
-    """The form m x + n y."""
-    return tuple(m * a + n * b for a, b in zip(x, y))
+def _combination(coeffs: Sequence[int], forms: Sequence[Sequence[int]], k: int) -> tuple[int, ...]:
+    """The form sum_j coeffs[j] forms[j], each form a tuple of k ints."""
+    total = (0,) * k
+    for c, f in zip(coeffs, forms):
+        if c:
+            total = tuple(a + c * b for a, b in zip(total, f))
+    return total
 
 
 class KahlerSpec:
@@ -38,7 +46,7 @@ class KahlerSpec:
     on the all-ones diagonal.
     """
 
-    __slots__ = ("fan", "k", "rows", "name", "sample_point", "_vertices", "_edges")
+    __slots__ = ("fan", "k", "rows", "name", "sample_point", "_edges")
 
     def __init__(self, fan: Fan, k: int, rows: Sequence[Sequence[int]], name: str = ""):
         rows = tuple(tuple(int(a) for a in row) for row in rows)
@@ -53,13 +61,14 @@ class KahlerSpec:
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "name", name)
-        vertices = []
-        for i in range(1, fan.d + 1):
-            u, w = fan.ray(i), fan.ray(i + 1)
-            ci, cj = self.c(i), self.c(i + 1)
-            vertices.append((_combine(w[1], ci, -u[1], cj), _combine(u[0], cj, -w[0], ci)))
-        object.__setattr__(self, "_vertices", tuple(vertices))
-        object.__setattr__(self, "_edges", self._edge_lengths())
+        # L_i = omega . D_i = sum_j (D_i . D_j) row_j
+        edges = []
+        for i, g in enumerate(gram_matrix(fan), start=1):
+            length = _combination(g, rows, k)
+            if not any(length):
+                raise DegenerateEdge(f"edge {i} has identically zero length")
+            edges.append(length)
+        object.__setattr__(self, "_edges", tuple(edges))
         object.__setattr__(self, "sample_point", self._find_sample())
 
     def _find_sample(self) -> tuple[int, ...]:
@@ -84,42 +93,9 @@ class KahlerSpec:
     def d(self) -> int:
         return self.fan.d
 
-    def c(self, i: int) -> tuple[int, ...]:
-        """The constant c_i as a form in the t_l (note the stored sign convention)."""
-        return tuple(-a for a in self.rows[(i - 1) % self.d])
-
-    def vertex(self, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Vertex on facets i and i+1: solves <v_i,x> = c_i, <v_{i+1},x> = c_{i+1}.
-
-        The facet normals form a basis with determinant one, so the solution
-        is an integer form (Cramer with the adjugate).
-        """
-        return self._vertices[(i - 1) % self.d]
-
     def edge_length(self, i: int) -> tuple[int, ...]:
         """Lattice length of the facet T_i normal to v_i."""
         return self._edges[(i - 1) % self.d]
-
-    def _edge_lengths(self) -> tuple[tuple[int, ...], ...]:
-        out = []
-        for i in range(1, self.d + 1):
-            a, b = self.vertex(i - 1), self.vertex(i)
-            diff = (_combine(1, b[0], -1, a[0]), _combine(1, b[1], -1, a[1]))
-            v = self.fan.ray(i)
-            direction = (v[1], -v[0])  # counterclockwise along the boundary
-            c = 0 if direction[0] != 0 else 1
-            coeffs = []
-            for num in diff[c]:
-                q, r = divmod(num, direction[c])
-                assert r == 0, "edge direction does not divide the vertex difference"
-                coeffs.append(q)
-            length = tuple(coeffs)
-            # the difference must be proportional to the primitive direction
-            assert diff[1 - c] == tuple(direction[1 - c] * a for a in length)
-            if not any(length):
-                raise DegenerateEdge(f"edge {i} has identically zero length")
-            out.append(length)
-        return tuple(out)
 
     def curve_area(self, alpha: Sequence[int]) -> tuple[int, ...]:
         """Symplectic area of the curve class sum_k alpha_k D_k.
@@ -131,11 +107,7 @@ class KahlerSpec:
         """
         if len(alpha) != self.d:
             raise ParameterMismatch(f"class vector with {len(alpha)} entries for {self.d} rays")
-        total = (0,) * self.k
-        for m, e in zip(alpha, self._edges):
-            if m:
-                total = _combine(1, total, m, e)
-        return total
+        return _combination(alpha, self._edges, self.k)
 
     def disk_coefficient(self, i: int) -> tuple[int, ...]:
         """q-exponent vector of the basic disk class beta_i: exp(c_i) = prod q_l^{C_l}."""

@@ -318,15 +318,19 @@ class LaurentPoly(_Sparse):
 # --- canonical rendering ---
 
 
-def _coeff_monomial_string(c: Fraction, exps: QExp, letter: str = "q") -> str:
-    parts = []
-    for l, e in enumerate(exps, start=1):
-        if e == 0:
-            continue
-        parts.append(f"{letter}{l}" if e == 1 else f"{letter}{l}^{e}")
-    if not parts:
+def _monomial_string(letter: str, exps: Sequence[int]) -> str:
+    """letter1^e1*letter2^e2*..., skipping zero exponents; "" for the unit."""
+    return "*".join(
+        f"{letter}{l}" if e == 1 else f"{letter}{l}^{e}"
+        for l, e in enumerate(exps, start=1)
+        if e
+    )
+
+
+def _coeff_monomial_string(c: Fraction, exps: QExp) -> str:
+    body = _monomial_string("q", exps)
+    if not body:
         return str(c)
-    body = "*".join(parts)
     if c == 1:
         return body
     if c == -1:
@@ -348,17 +352,8 @@ def qpoly_string(p: QPoly) -> str:
     return out
 
 
-def _z_monomial_string(ze: ZExp) -> str:
-    parts = []
-    for j, e in enumerate(ze, start=1):
-        if e == 0:
-            continue
-        parts.append(f"z{j}" if e == 1 else f"z{j}^{e}")
-    return "*".join(parts)
-
-
 def term_string(ze: ZExp, qp: QPoly) -> str:
-    ztxt = _z_monomial_string(ze)
+    ztxt = _monomial_string("z", ze)
     multi = len(qp._exps) >= 2
     if not ztxt:
         return f"({qpoly_string(qp)})" if multi else qpoly_string(qp)

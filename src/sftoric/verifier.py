@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import isqrt
 from typing import Sequence
 
 from .errors import IsP2, NotSemiFano, OutOfRange, ParameterMismatch
@@ -177,12 +178,16 @@ def newton_dimension(fan: Fan, w: LaurentPoly) -> int | None:
 
 # --- the end-to-end report ---
 
-_PRIMES = (7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
-
 
 def default_q_sample(k: int, shift: int = 0) -> tuple[Fraction, ...]:
     """q_l = 1 / p_l over consecutive primes starting at 7 (+ shift)."""
-    return tuple(Fraction(1, p) for p in _PRIMES[shift : shift + k])
+    primes: list[int] = []
+    n = 7
+    while len(primes) < shift + k:
+        if all(n % p for p in range(2, isqrt(n) + 1)):
+            primes.append(n)
+        n += 1
+    return tuple(Fraction(1, p) for p in primes[shift:])
 
 
 @dataclass(slots=True)

@@ -11,6 +11,8 @@ GOLDEN_QH = Path(__file__).parent / "golden" / "qh.txt"
 GOLDEN_PSI = Path(__file__).parent / "golden" / "psi.txt"
 GOLDEN_VERIFY = Path(__file__).parent / "golden" / "verify.txt"
 GOLDEN_SUPERPOTENTIAL = Path(__file__).parent / "golden" / "superpotential.txt"
+GOLDEN_CHECK = Path(__file__).parent / "golden" / "check.txt"
+GOLDEN_CLASSIFY = Path(__file__).parent / "golden" / "classify.txt"
 
 
 def run(capsys, *argv):
@@ -56,6 +58,16 @@ def test_cli_check(capsys):
     assert "(-2)-chains: [1] [4 5]" in out
 
 
+def test_cli_check_golden(capsys):
+    # all 16 bundled surfaces, each block headed by "# NAME"
+    blocks = []
+    for name in BUNDLED:
+        rc, out, err = run(capsys, "check", name)
+        assert rc == 0 and err == "", name
+        blocks.append(f"# {name}\n{out}")
+    assert "".join(blocks) == GOLDEN_CHECK.read_text()
+
+
 def test_cli_superpotential_matches_table_row(capsys):
     rc, out, _ = run(capsys, "superpotential", "X1")
     assert rc == 0
@@ -83,6 +95,9 @@ def test_cli_bulk(capsys):
     assert rc == 0
     assert out.startswith("exp(-1)*(")
     assert "exp(1)*(" in out
+    # a fractional class reaches the library's integrality check
+    rc, out, err = run(capsys, "superpotential", "X1", "--bulk-divisor", "1/2,0,0,0")
+    assert (rc, out, err) == (2, "", "error: bulk divisor class must be integral\n")
 
 
 def test_cli_psi(capsys):
@@ -175,6 +190,19 @@ def test_cli_rejects_non_semi_fano(tmp_path, capsys):
         assert "semi-Fano" in err, command
 
 
+def test_cli_verify_many_parameters(tmp_path, capsys):
+    # F0 with 14 Kahler parameters: the default sample has one value each
+    path = tmp_path / "f0.fan"
+    path.write_text(
+        "surface F0x14\nparams 14\nray 1 0 :" + " 0" * 14 + "\nray 0 1 :" + " 0" * 14
+        + "\nray -1 0 :" + " 1" * 14 + "\nray 0 -1 :" + " 1" * 14 + "\n"
+    )
+    rc, out, err = run(capsys, "verify", str(path))
+    assert rc == 0 and err == ""
+    assert "q13=1/53 q14=1/59\n" in out
+    assert out.splitlines()[-1] == "RESULT PASS"
+
+
 def test_cli_verify_rejects_a_sample_off_the_kahler_cone(capsys):
     # D3 of X8 has zero area at this sample: an input error, not a FAIL
     rc, out, err = run(capsys, "verify", "X8", "--q", "1/2,1/2,1/4,1/2,1/2,1/2")
@@ -196,6 +224,10 @@ def test_cli_classify(capsys):
     assert run(capsys, "classify", "--max-rays", "2") == (
         2, "", "error: max_rays must be at least 3\n"
     )
+
+
+def test_cli_classify_golden(capsys):
+    assert run(capsys, "classify", "--max-rays", "9") == (0, GOLDEN_CLASSIFY.read_text(), "")
 
 
 def test_cli_table_golden(capsys):

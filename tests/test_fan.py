@@ -17,7 +17,6 @@ from sftoric.fan import (
     Fan,
     classify_semi_fano,
     fans_isomorphic,
-    validate_fan,
 )
 
 X1_RAYS = ((1, 0), (0, 1), (-1, -2), (0, -1))
@@ -34,19 +33,19 @@ def random_fan(rng, blowups=4):
 
 
 def test_validate_examples():
-    assert validate_fan(P2_RAYS).rays == P2_RAYS
-    assert validate_fan(X1_RAYS).d == 4
+    assert Fan(P2_RAYS).rays == P2_RAYS
+    assert Fan(X1_RAYS).d == 4
     with pytest.raises(NotPrimitive):
-        validate_fan([(1, 0), (0, 2), (-1, -1)])
+        Fan([(1, 0), (0, 2), (-1, -1)])
     with pytest.raises(NotCounterclockwise):
-        validate_fan([(0, 1), (1, 0), (-1, -1)])
+        Fan([(0, 1), (1, 0), (-1, -1)])
     with pytest.raises(NotSmooth):
-        validate_fan([(1, 0), (1, 2), (-1, -1)])
+        Fan([(1, 0), (1, 2), (-1, -1)])
     with pytest.raises(NotComplete):
-        validate_fan([(1, 0), (1, 1)])
+        Fan([(1, 0), (1, 1)])
     # dets are +1 around each step but the angles never wrap: not a fan
     with pytest.raises((NotComplete, NotCounterclockwise)):
-        validate_fan([(1, 0), (1, 1), (1, 2)])
+        Fan([(1, 0), (1, 1), (1, 2)])
 
 
 def test_self_intersection_examples():

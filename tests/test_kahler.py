@@ -1,10 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from presentations import GENERATORS, presentation
 from sftoric.errors import DegenerateEdge, InvalidKahlerData, ParameterMismatch
 from sftoric.fan import Fan
 from sftoric.kahler import KahlerSpec
+from sftoric.surfaces import BUNDLED, load_bundled
 
 
 def value_at(form, t):
@@ -17,35 +20,86 @@ def combine(m, x, n, y):
     return tuple(m * a + n * b for a, b in zip(x, y))
 
 
+# --- reference: the moment polytope's vertices by Cramer's rule ---
+
+
+def facet_constant(spec, i):
+    """c_i of the facet <v_i, x> >= c_i, as a form in the t_l (c_i = -row_i)."""
+    return tuple(-a for a in spec.rows[(i - 1) % spec.d])
+
+
+def vertex(spec, i):
+    """Vertex on facets i and i+1: solves <v_i,x> = c_i, <v_{i+1},x> = c_{i+1}.
+
+    The facet normals form a basis with determinant one, so the solution
+    is an integer form (Cramer with the adjugate).
+    """
+    u, w = spec.fan.ray(i), spec.fan.ray(i + 1)
+    ci, cj = facet_constant(spec, i), facet_constant(spec, i + 1)
+    return combine(w[1], ci, -u[1], cj), combine(u[0], cj, -w[0], ci)
+
+
+def assert_edges_match_vertices(spec):
+    """Edge i runs from vertex i-1 to vertex i along (v_i^2, -v_i^1) for edge_length(i)."""
+    for i in range(1, spec.d + 1):
+        a, b = vertex(spec, i - 1), vertex(spec, i)
+        v = spec.fan.ray(i)
+        length = spec.edge_length(i)
+        assert combine(1, b[0], -1, a[0]) == tuple(v[1] * x for x in length), i
+        assert combine(1, b[1], -1, a[1]) == tuple(-v[0] * x for x in length), i
+
+
 def test_vertex_examples(bundled):
     _, x1 = bundled["X1"]
     # facets 3 and 4 meet at (t2, t1)
-    assert x1.vertex(3) == ((0, 1), (1, 0))
+    assert vertex(x1, 3) == ((0, 1), (1, 0))
     _, p2 = bundled["P2"]
-    assert p2.vertex(1) == ((0,), (0,))
+    assert vertex(p2, 1) == ((0,), (0,))
     _, x3 = bundled["X3"]
     # facets 4 and 5 meet at (t3 + t4, t1 + t3 + 2 t4)
-    assert x3.vertex(4) == ((0, 0, 1, 1), (1, 0, 1, 2))
+    assert vertex(x3, 4) == ((0, 0, 1, 1), (1, 0, 1, 2))
 
 
 def test_vertex_satisfies_facet_equations(bundled):
     for name, (fan, spec) in bundled.items():
         for i in range(1, fan.d + 1):
-            x = spec.vertex(i)
+            x = vertex(spec, i)
             for j in (i, i + 1):
                 v = fan.ray(j)
                 lhs = combine(v[0], x[0], v[1], x[1])
-                assert lhs == spec.c(j), (name, i, j)
+                assert lhs == facet_constant(spec, j), (name, i, j)
 
 
 def test_vertices_inside_polytope_at_sample(bundled):
     for name, (fan, spec) in bundled.items():
         t = spec.sample_point
         for i in range(1, fan.d + 1):
-            x = [value_at(c, t) for c in spec.vertex(i)]
+            x = [value_at(c, t) for c in vertex(spec, i)]
             for j in range(1, fan.d + 1):
                 v = fan.ray(j)
-                assert v[0] * x[0] + v[1] * x[1] >= value_at(spec.c(j), t), (name, i, j)
+                assert v[0] * x[0] + v[1] * x[1] >= value_at(facet_constant(spec, j), t), (
+                    name, i, j,
+                )
+
+
+def test_edge_lengths_match_the_polytope_vertices(bundled):
+    # edge_length comes from the intersection form: L_i = omega . D_i
+    for name, (_, spec) in bundled.items():
+        assert_edges_match_vertices(spec)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(
+    name=st.sampled_from(BUNDLED),
+    generator=st.sampled_from(sorted(GENERATORS)),
+    shift=st.integers(0, 8),
+    entries=st.lists(st.sampled_from((-1, 0, 1)), min_size=16, max_size=16),
+)
+def test_edge_lengths_match_the_vertices_of_presentations(name, generator, shift, entries):
+    fan, base = load_bundled(name)
+    U = (tuple(entries[: base.k]), tuple(entries[8 : 8 + base.k]))
+    spec = presentation(name, GENERATORS[generator], shift % fan.d, U)
+    assert_edges_match_vertices(spec)
 
 
 def test_edge_length_examples(bundled):
@@ -111,15 +165,19 @@ def test_disk_coefficient_examples(bundled):
 
 def test_invalid_kahler_data():
     fan = Fan(((1, 0), (0, 1), (-1, -1)))
-    with pytest.raises(DegenerateEdge):
+    with pytest.raises(DegenerateEdge, match="^edge 1 has identically zero length$"):
         KahlerSpec(fan, 1, [(0,), (0,), (0,)])  # point polytope, all edges zero
-    with pytest.raises(InvalidKahlerData):
+    with pytest.raises(InvalidKahlerData, match="^2 constant rows for a fan with 3 rays$"):
         KahlerSpec(fan, 1, [(0,), (0,)])  # row count
-    with pytest.raises(InvalidKahlerData):
+    with pytest.raises(InvalidKahlerData, match=r"^row \(0,\) does not have 2 entries$"):
         KahlerSpec(fan, 2, [(0,), (0,), (1,)])  # row width
-    with pytest.raises(InvalidKahlerData):
+    with pytest.raises(InvalidKahlerData, match="^no small positive integer point"):
         # a valid t-form mix that is never positive: c3 with the wrong sign
         KahlerSpec(fan, 1, [(0,), (0,), (-1,)])
+    # a segment: F0 with only D2 weighted; the first zero edge is edge 2
+    f0 = Fan(((1, 0), (0, 1), (-1, 0), (0, -1)))
+    with pytest.raises(DegenerateEdge, match="^edge 2 has identically zero length$"):
+        KahlerSpec(f0, 2, [(0, 0), (1, 0), (0, 0), (0, 0)])
 
 
 def test_curve_area_length_mismatch(bundled):

@@ -19,11 +19,10 @@ from groebner_oracle import (
     groebner_membership,
     normal_forms,
 )
+from presentations import GENERATORS, presentation
 from sftoric import cli
 from sftoric.errors import IsP2, OutOfRange, ParameterMismatch
-from sftoric.fan import Fan
 from sftoric.homology import linear_relations, solve_linear, unit_vector
-from sftoric.kahler import KahlerSpec
 from sftoric.laurent import LaurentPoly, QPoly
 from sftoric.potential import superpotential, z_beta
 from sftoric.disks import DiskClass
@@ -44,37 +43,6 @@ from sftoric.verifier import (
 )
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-
-# GL(2, Z) generators: two rotations, a reflection and the four unit shears
-GENERATORS = {
-    "S": ((0, -1), (1, 0)),
-    "R": ((1, -1), (1, 0)),
-    "F": ((0, 1), (1, 0)),
-    "T": ((1, 1), (0, 1)),
-    "U": ((1, 0), (1, 1)),
-    "T-1": ((1, -1), (0, 1)),
-    "U-1": ((1, 0), (-1, 1)),
-}
-
-
-def presentation(name, M, shift=0, U=None):
-    """The bundled surface with rays M v, isomorphic to it over the lattice.
-
-    A reflection reverses the ray order to keep it counterclockwise; the rows
-    are relabelled cyclically by shift and the polytope is translated by U t
-    (U a 2 x k integer matrix, zero by default).
-    """
-    fan, spec = load_bundled(name)
-    U = U or ((0,) * spec.k, (0,) * spec.k)
-    pairs = []
-    for (a, b), row in zip(fan.rays, spec.rows):
-        w = (M[0][0] * a + M[0][1] * b, M[1][0] * a + M[1][1] * b)
-        pairs.append((w, [c - w[0] * u0 - w[1] * u1 for c, u0, u1 in zip(row, *U)]))
-    if M[0][0] * M[1][1] - M[0][1] * M[1][0] < 0:
-        pairs.reverse()
-    pairs = pairs[shift:] + pairs[:shift]
-    rays, rows = zip(*pairs)
-    return KahlerSpec(Fan(rays), spec.k, rows, name=name)
 
 
 def specialized(p, spec):
@@ -339,6 +307,16 @@ def test_default_samples_lie_in_the_kahler_cone(bundled):
     for name, (fan, spec) in bundled.items():
         if fan.d > 3:
             assert off_cone_edge(spec, default_q_sample(spec.k)) is None, name
+
+
+def test_default_sample_has_one_value_per_parameter():
+    first = (7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71)
+    assert default_q_sample(13) == tuple(Fraction(1, p) for p in first[:13])
+    for shift in range(3):
+        for k in range(15):
+            assert default_q_sample(k, shift) == tuple(
+                Fraction(1, p) for p in first[shift : shift + k]
+            ), (k, shift)
 
 
 def test_auto_resampling_skips_samples_off_the_cone(bundled, monkeypatch):
