@@ -1,7 +1,7 @@
 """Open Gromov-Witten invariants, Landau-Ginzburg superpotentials and quantum
 cohomology of semi-Fano toric surfaces, in exact arithmetic."""
 
-from .disks import DiskClass, enumerate_admissible, is_admissible_class, open_gw
+from .disks import DiskClass, enumerate_admissible, open_gw
 from .fan import Fan, classify_semi_fano, fans_isomorphic
 from .kahler import KahlerSpec
 from .laurent import LaurentPoly, QPoly, canonical_string
@@ -28,7 +28,6 @@ __all__ = [
     "enumerate_admissible",
     "fans_isomorphic",
     "hori_vafa",
-    "is_admissible_class",
     "jac_dimension",
     "load_bundled",
     "open_gw",

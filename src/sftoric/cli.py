@@ -15,7 +15,7 @@ from fractions import Fraction
 from .errors import ToricError
 from .fan import classify_semi_fano
 from .homology import unit_vector
-from .laurent import canonical_string, qpoly_string
+from .laurent import canonical_string, term_string
 from .potential import bulk_superpotential, hori_vafa, superpotential
 from .quantum import QHElement, quantum_sr_relations
 from .surfaces import BUNDLED, BUNDLED_NON_FANO, load_bundled, parse_surface_file
@@ -29,15 +29,11 @@ def _load(path: str):
 
 
 def _qh_string(el: QHElement) -> str:
-    chunks = []
-    if not el.scalar.is_zero():
-        s = qpoly_string(el.scalar)
-        chunks.append(f"({s})" if len(el.scalar.terms) >= 2 else s)
+    # a coefficient is wrapped in parentheses as in W: term_string at z^0
+    chunks = [] if el.scalar.is_zero() else [term_string((0, 0), el.scalar)]
     for coord, c in enumerate(el.divisor, start=1):
-        if c.is_zero():
-            continue
-        s = qpoly_string(c)
-        chunks.append((f"({s})" if len(c.terms) >= 2 else s) + f"*D{coord}")
+        if not c.is_zero():
+            chunks.append(f"{term_string((0, 0), c)}*D{coord}")
     return " + ".join(chunks) if chunks else "0"
 
 

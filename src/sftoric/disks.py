@@ -1,9 +1,10 @@
 """Maslov index two disk classes and their open Gromov-Witten invariants.
 
 A disk class is a basic class beta_i plus a sphere part alpha = sum s_k D_k.
-The invariant n_b is 1 exactly for the admissible classes: alpha = 0 (basic
-classes always count one), or D_i^2 = -2 and alpha is supported on the maximal
-(-2)-chain through D_i as a contiguous interval containing i, with the
+The invariant n_b depends only on i and on the class of alpha in H_2(X), and
+it is 1 exactly for the classes that ``enumerate_admissible`` lists: alpha = 0
+(basic classes always count one), or D_i^2 = -2 and alpha is supported on the
+maximal (-2)-chain through D_i as a contiguous interval containing i, with the
 multiplicity sequence admissible centered at i:
 
 * every value is a positive integer,
@@ -11,18 +12,20 @@ multiplicity sequence admissible centered at i:
 * s_j >= s_{j+1} >= s_j - 1 from the center on,
 * both endpoint values are at most one.
 
-Everything else of Maslov index two has n_b = 0.
+``open_gw`` decides n_b by looking up (i, class of alpha) in that list, so
+two vectors alpha of one class get one count.  Every other class of Maslov
+index two has n_b = 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator, Mapping
+from typing import Iterator
 
 from .errors import ParameterMismatch, WrongMaslov
 from .fan import Fan, MinusTwoChain
-from .homology import chern_number
+from .homology import chern_number, count_by_class
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,39 +48,13 @@ def maslov_index(fan: Fan, b: DiskClass) -> int:
     return 2 + 2 * chern_number(fan, b.alpha)
 
 
-def is_admissible_sequence(s: Mapping[int, int], center: int) -> bool:
-    """The admissibility predicate for a sequence on an integer interval.
-
-    ``s`` maps each index of a finite interval [m1, m2] to its value; the
-    empty sequence is admissible.
-    """
-    if not s:
-        return True
-    keys = sorted(s)
-    m1, m2 = keys[0], keys[-1]
-    if keys != list(range(m1, m2 + 1)):
-        raise ParameterMismatch("sequence indices must form a contiguous interval")
-    if any(not isinstance(v, int) or v < 1 for v in s.values()):
-        return False
-    if s[m1] > 1 or s[m2] > 1:
-        return False
-    for i in range(m1, m2):
-        if i < center:
-            if not s[i] <= s[i + 1] <= s[i] + 1:
-                return False
-        else:
-            if not s[i] >= s[i + 1] >= s[i] - 1:
-                return False
-    return True
-
-
 def admissible_sequences(m1: int, m2: int, center: int) -> Iterator[dict[int, int]]:
     """Generate every admissible sequence on [m1, m2] with the given center.
 
     Constructive: climb from 1 at m1 by steps in {0, +1} up to the center,
     then descend by steps in {0, -1}, keeping the final value at 1.  This is
-    exactly the solution set of the predicate (checked against brute force in
-    the tests).
+    exactly the set of admissible sequences of the module docstring (checked
+    against brute force in the tests).
     """
     if not m1 <= center <= m2:
         return
@@ -92,33 +69,21 @@ def admissible_sequences(m1: int, m2: int, center: int) -> Iterator[dict[int, in
         yield {m1 + i: vals[i] for i in range(n + 1)}
 
 
-def is_admissible_class(fan: Fan, b: DiskClass) -> bool:
-    if any(m < 0 for m in b.alpha):
-        return False
-    support = [k for k, m in enumerate(b.alpha, start=1) if m]
-    if not support:
-        return True
-    if fan.self_intersection(b.i) != -2:
-        return False
-    chain = fan.chain_through(b.i)
-    assert chain is not None
-    if any(k not in chain for k in support):
-        return False
-    positions = sorted(chain.position(k) for k in support)
-    if positions != list(range(positions[0], positions[-1] + 1)):
-        return False
-    center = chain.position(b.i)
-    if not positions[0] <= center <= positions[-1]:
-        return False
-    seq = {p: b.alpha[chain.indices[p] - 1] for p in positions}
-    return is_admissible_sequence(seq, center)
-
-
 def open_gw(fan: Fan, b: DiskClass) -> int:
-    """n_b for a Maslov index two class: one iff admissible."""
+    """n_b for a Maslov index two class, read off ``enumerate_admissible``.
+
+    One iff some listed class has basic index b.i and a sphere part of the
+    class of b.alpha in H_2(X), so the count does not depend on the vector
+    representing alpha.  Raises ParameterMismatch unless 1 <= b.i <= d and
+    alpha has one entry per ray, WrongMaslov off Maslov index two and
+    NotSemiFano off the semi-Fano range.
+    """
+    if not 1 <= b.i <= fan.d:
+        raise ParameterMismatch(f"basic index {b.i} is not a ray index 1..{fan.d}")
     if maslov_index(fan, b) != 2:
         raise WrongMaslov(f"class has Maslov index {maslov_index(fan, b)}, not 2")
-    return 1 if is_admissible_class(fan, b) else 0
+    same_i = (a.alpha for a in enumerate_admissible(fan) if a.i == b.i)
+    return count_by_class(fan, b.alpha, same_i)
 
 
 def chain_sequences(chain: MinusTwoChain, i: int) -> Iterator[dict[int, int]]:
@@ -138,8 +103,9 @@ def enumerate_admissible(fan: Fan) -> list[DiskClass]:
     """All Maslov index two classes with n_b = 1, in a deterministic order.
 
     Sorted by basic index, then total sphere multiplicity, then the
-    multiplicity vector itself.
+    multiplicity vector itself.  Raises NotSemiFano off the semi-Fano range.
     """
+    fan.require_semi_fano("the disk count formula")
     out = [DiskClass.basic(fan, i) for i in range(1, fan.d + 1)]
     for chain in fan.minus_two_chains():
         for i in chain.indices:

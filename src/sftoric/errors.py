@@ -42,8 +42,8 @@ class InvalidKahlerData(ToricError):
 
 class ParameterMismatch(ToricError):
     """Inputs that do not match: parameter counts, fan vs KahlerSpec, a class
-    or divisor vector without one entry per ray, or a sequence whose indices
-    are not one interval."""
+    or divisor vector without one entry per ray, or a disk class whose basic
+    index is not a ray index 1..d."""
 
 
 class OutOfRange(ToricError):
@@ -58,7 +58,11 @@ class WrongMaslov(ToricError):
 
 
 class NotSemiFano(ToricError):
-    """The operation requires every divisor to have self-intersection >= -2."""
+    """The operation requires every divisor to have self-intersection >= -2.
+
+    Raised by the enumerations of disk classes and of c_1 = 1, 2 curve
+    classes, so by every count, potential and product built on them, and by
+    the Newton polygon dimension."""
 
 
 class NonIntegralPairing(ToricError):

@@ -17,6 +17,7 @@ from .errors import (
     NotComplete,
     NotCounterclockwise,
     NotPrimitive,
+    NotSemiFano,
     NotSmooth,
 )
 
@@ -69,7 +70,7 @@ class MinusTwoChain:
 class Fan:
     """A complete smooth 2D fan; immutable after validation."""
 
-    __slots__ = ("rays", "_canon")
+    __slots__ = ("rays", "_canon", "_chains")
 
     def __init__(self, rays: Iterable[Sequence[int]]):
         rays = tuple((int(v[0]), int(v[1])) for v in rays)
@@ -97,6 +98,7 @@ class Fan:
             raise NotComplete(f"ray angles wrap {wraps} times, expected once")
         object.__setattr__(self, "rays", rays)
         object.__setattr__(self, "_canon", None)
+        object.__setattr__(self, "_chains", None)
 
     # Fan is conceptually frozen; block accidental mutation.
     def __setattr__(self, name, value):
@@ -120,12 +122,22 @@ class Fan:
     def is_semi_fano(self) -> bool:
         return all(s >= -2 for s in self.self_intersections())
 
+    def require_semi_fano(self, what: str) -> None:
+        """Raise NotSemiFano("<what> requires a semi-Fano surface") off that range."""
+        if not self.is_semi_fano():
+            raise NotSemiFano(f"{what} requires a semi-Fano surface")
+
     def is_fano(self) -> bool:
         # -K is ample iff it is positive on every D_i, i.e. all D_i^2 >= -1
         return all(s >= -1 for s in self.self_intersections())
 
     def minus_two_chains(self) -> list[MinusTwoChain]:
-        """Maximal cyclic runs of (-2)-divisors, sorted by first index."""
+        """Maximal cyclic runs of (-2)-divisors, sorted by first index.
+
+        Found once per fan, like ``canonical_form``; each call returns a new list.
+        """
+        if self._chains is not None:
+            return list(self._chains)
         s = self.self_intersections()
         d = self.d
         if all(x == -2 for x in s):
@@ -146,13 +158,11 @@ class Fan:
                 prev, mid, nxt = (self.ray(chain.indices[j + t]) for t in (-1, 0, 1))
                 assert (prev[0] + nxt[0], prev[1] + nxt[1]) == (2 * mid[0], 2 * mid[1])
         chains.sort(key=lambda c: c.indices[0])
+        object.__setattr__(self, "_chains", tuple(chains))
         return chains
 
     def chain_through(self, i: int) -> MinusTwoChain | None:
-        for chain in self.minus_two_chains():
-            if i in chain:
-                return chain
-        return None
+        return next((chain for chain in self.minus_two_chains() if i in chain), None)
 
     def blowup(self, i: int) -> "Fan":
         """Star subdivision of the cone spanned by (v_i, v_{i+1}), 1-based."""

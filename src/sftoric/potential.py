@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .disks import DiskClass, enumerate_admissible
-from .errors import NonIntegralPairing, NotSemiFano, ParameterMismatch
+from .errors import NonIntegralPairing, ParameterMismatch
 from .fan import Fan
 from .homology import pair
 from .kahler import KahlerSpec
@@ -48,8 +48,6 @@ class Superpotential:
 
 def superpotential(spec: KahlerSpec) -> Superpotential:
     """W = sum of Z_b over all admissible Maslov index two classes."""
-    if not spec.fan.is_semi_fano():
-        raise NotSemiFano("the disk count formula requires a semi-Fano surface")
     records = []
     w = LaurentPoly.zero(spec.k)
     for b in enumerate_admissible(spec.fan):

@@ -34,9 +34,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .disks import chain_sequences
-from .errors import IsP2, NotPrimitivePair, NotSemiFano, ParameterMismatch, WrongChern
+from .errors import IsP2, NotPrimitivePair, ParameterMismatch, WrongChern
 from .fan import Fan
-from .homology import chern_number, fiber_classes, profile, reduce_class
+from .homology import chern_number, count_by_class, fiber_classes, profile, reduce_class
 from .kahler import KahlerSpec
 from .laurent import QPoly, share_tuples
 
@@ -84,6 +84,7 @@ def _runs_from(chain, a: int):
 
 def c1_two_classes(fan: Fan) -> list[tuple[int, ...]]:
     """Effective representatives of every c_1 = 2 class with point-GW one."""
+    fan.require_semi_fano("the curve class enumeration")
     d = fan.d
     seen: dict[tuple, tuple[int, ...]] = {}
 
@@ -120,6 +121,7 @@ def c1_two_classes(fan: Fan) -> list[tuple[int, ...]]:
 
 def c1_one_classes(fan: Fan) -> list[tuple[int, ...]]:
     """Effective representatives of every c_1 = 1 class with unconstrained GW one."""
+    fan.require_semi_fano("the curve class enumeration")
     d = fan.d
     s = fan.self_intersections()
     seen: dict[tuple, tuple[int, ...]] = {}
@@ -137,25 +139,24 @@ def c1_one_classes(fan: Fan) -> list[tuple[int, ...]]:
     return sorted(seen.values())
 
 
-def _gw_by_profile(fan: Fan, alpha: Sequence[int], c1: int, classes) -> int:
+def _sphere_count(fan: Fan, alpha: Sequence[int], c1: int, classes) -> int:
     """1 when alpha has the class of one of ``classes(fan)``, else 0.
 
     Raises WrongChern unless c_1(alpha) = c1.
     """
     if chern_number(fan, alpha) != c1:
         raise WrongChern(f"c_1(alpha) = {chern_number(fan, alpha)}, expected {c1}")
-    target = profile(fan, alpha)
-    return 1 if any(profile(fan, rep) == target for rep in classes(fan)) else 0
+    return count_by_class(fan, alpha, classes(fan))
 
 
 def gw_c1_2_point(fan: Fan, alpha: Sequence[int]) -> int:
     """One-point genus zero GW invariant of a class with c_1 = 2 (0 or 1)."""
-    return _gw_by_profile(fan, alpha, 2, c1_two_classes)
+    return _sphere_count(fan, alpha, 2, c1_two_classes)
 
 
 def gw_c1_1(fan: Fan, alpha: Sequence[int]) -> int:
     """Unconstrained genus zero GW invariant of a class with c_1 = 1 (0 or 1)."""
-    return _gw_by_profile(fan, alpha, 1, c1_one_classes)
+    return _sphere_count(fan, alpha, 1, c1_one_classes)
 
 
 def _curve_data(fan: Fan, spec: KahlerSpec):
@@ -182,8 +183,6 @@ def _check_supported(fan: Fan, spec: KahlerSpec) -> None:
         raise ParameterMismatch(f"{fan} is not the fan of {spec}")
     if fan.d == 3:
         raise IsP2("quantum Stanley-Reisner data is not computed for P^2")
-    if not fan.is_semi_fano():
-        raise NotSemiFano("the curve class enumeration requires a semi-Fano surface")
 
 
 def _product(fan: Fan, k: int, data, i: int, j: int) -> QHElement:

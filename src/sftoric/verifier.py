@@ -37,7 +37,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import Sequence
 
-from .errors import IsP2, NotSemiFano, OutOfRange, ParameterMismatch
+from .errors import IsP2, OutOfRange, ParameterMismatch
 from .fan import Fan, det
 from .homology import linear_relations, solve_linear, unit_vector
 from .kahler import KahlerSpec
@@ -162,8 +162,7 @@ def newton_dimension(fan: Fan, w: LaurentPoly) -> int | None:
     the t-th ray along the edge.  None when an end coefficient vanishes or
     an edge polynomial has a repeated root (W is degenerate there).
     """
-    if not fan.is_semi_fano():
-        raise NotSemiFano("the Newton polygon argument requires a semi-Fano surface")
+    fan.require_semi_fano("the Newton polygon argument")
     terms = w.terms
     if not set(terms) <= {(0, 0), *fan.rays}:
         return None

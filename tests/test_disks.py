@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -6,13 +7,12 @@ from sftoric.disks import (
     DiskClass,
     admissible_sequences,
     enumerate_admissible,
-    is_admissible_class,
-    is_admissible_sequence,
     maslov_index,
     open_gw,
 )
 from sftoric.errors import ParameterMismatch, WrongMaslov
 from sftoric.fan import Fan, P2_RAYS
+from sftoric.homology import linear_relations
 
 
 def dc(fan, i, **mult):
@@ -40,26 +40,15 @@ def brute_force_admissible(s, center):
     return True
 
 
-def test_sequence_examples():
-    assert is_admissible_sequence({0: 1}, 0)
-    assert is_admissible_sequence({-1: 1, 0: 2, 1: 1}, 0)
-    assert not is_admissible_sequence({0: 2, 1: 1}, 0)
-    assert is_admissible_sequence({}, 0)
-    with pytest.raises(ParameterMismatch):
-        is_admissible_sequence({0: 1, 2: 1}, 0)  # gap in the interval
-
-
 def test_sequence_brute_force_oracle():
     # criterion: exhaustive agreement on all chains of length <= 4, entries <= 5
     for length in range(1, 5):
         for center in range(length):
-            admissible = set()
-            for values in product(range(1, 6), repeat=length):
-                s = dict(enumerate(values))
-                expected = brute_force_admissible(s, center)
-                assert is_admissible_sequence(s, center) == expected, (s, center)
-                if expected:
-                    admissible.add(values)
+            admissible = {
+                values
+                for values in product(range(1, 6), repeat=length)
+                if brute_force_admissible(dict(enumerate(values)), center)
+            }
             generated = {
                 tuple(seq[i] for i in range(length))
                 for seq in admissible_sequences(0, length - 1, center)
@@ -77,12 +66,12 @@ def test_maslov_examples(bundled):
 
 def test_admissible_class_examples(bundled):
     x3 = bundled["X3"][0]
-    assert is_admissible_class(x3, dc(x3, 1, D1=1))
-    assert is_admissible_class(x3, dc(x3, 4, D4=1, D5=1))
-    assert not is_admissible_class(x3, dc(x3, 2, D1=1))
+    assert open_gw(x3, dc(x3, 1, D1=1)) == 1
+    assert open_gw(x3, dc(x3, 4, D4=1, D5=1)) == 1
+    assert open_gw(x3, dc(x3, 2, D1=1)) == 0
     # support must be an interval containing the basic index
-    assert not is_admissible_class(x3, dc(x3, 4, D5=1))
-    assert is_admissible_class(x3, dc(x3, 5, D5=1))
+    assert open_gw(x3, dc(x3, 4, D5=1)) == 0
+    assert open_gw(x3, dc(x3, 5, D5=1)) == 1
 
 
 def test_open_gw_examples(bundled):
@@ -91,8 +80,36 @@ def test_open_gw_examples(bundled):
         assert open_gw(x3, DiskClass.basic(x3, i)) == 1
     assert open_gw(x3, dc(x3, 5, D4=1, D5=1)) == 1
     assert open_gw(x3, dc(x3, 1, D1=2)) == 0
+    # D5 + L1 is the class of D5, so beta_5 + alpha counts one for both
+    d5, (l1, _) = dc(x3, 5, D5=1).alpha, linear_relations(x3)
+    assert open_gw(x3, DiskClass(5, tuple(m + x for m, x in zip(d5, l1)))) == 1
     with pytest.raises(WrongMaslov):
         open_gw(x3, dc(x3, 2, D6=1))
+    # the basic index must name a ray, and alpha needs one entry per ray
+    for b in (dc(x3, 11, D5=1), dc(x3, 0, D5=1), DiskClass.basic(x3, 0),
+              DiskClass.basic(x3, 7), DiskClass(5, (0, 0, 0, 1, 1))):
+        with pytest.raises(ParameterMismatch):
+            open_gw(x3, b)
+
+
+def test_open_gw_depends_on_the_class_only(bundled):
+    # every sphere part that counts one for some basic index, under every
+    # basic index (Maslov index two throughout), shifted by random m1 L1 + m2 L2
+    rng = random.Random(7)
+    for name, (fan, _) in bundled.items():
+        l1, l2 = linear_relations(fan)
+        alphas = {b.alpha for b in enumerate_admissible(fan)}
+        values = set()
+        for alpha in alphas:
+            for i in range(1, fan.d + 1):
+                n = open_gw(fan, DiskClass(i, alpha))
+                values.add(n)
+                for _ in range(3):
+                    m1, m2 = rng.randrange(-3, 4), rng.randrange(-3, 4)
+                    shifted = tuple(a + m1 * x + m2 * y for a, x, y in zip(alpha, l1, l2))
+                    assert open_gw(fan, DiskClass(i, shifted)) == n, (name, i, alpha, shifted)
+        assert values == ({1} if alphas == {(0,) * fan.d} else {0, 1}), name
+
 
 
 def test_enumerate_examples(bundled):

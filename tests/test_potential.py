@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from appendix_data import EXPECTED_W, build_unit
-from sftoric.disks import DiskClass, enumerate_admissible
+from sftoric.disks import DiskClass, enumerate_admissible, open_gw
 from sftoric.errors import NonIntegralPairing, NotSemiFano, ParameterMismatch
 from sftoric.fan import Fan
 from sftoric.kahler import KahlerSpec
@@ -52,6 +52,11 @@ def test_superpotential_rejects_non_semi_fano():
     spec = KahlerSpec(fan, 2, [(0, 0), (0, 0), (3, 1), (1, 0)])
     with pytest.raises(NotSemiFano):
         superpotential(spec)
+    # the check sits in the enumeration itself, so the counts reject it too
+    with pytest.raises(NotSemiFano, match="disk count formula"):
+        enumerate_admissible(fan)
+    with pytest.raises(NotSemiFano, match="disk count formula"):
+        open_gw(fan, DiskClass.basic(fan, 1))
 
 
 def test_provenance_records(bundled):

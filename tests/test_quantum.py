@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -5,7 +6,9 @@ import pytest
 from sftoric.errors import IsP2, NotPrimitivePair, NotSemiFano, ParameterMismatch, WrongChern
 from sftoric.fan import Fan, P2_RAYS
 from sftoric.homology import (
+    chern_number,
     classes_equal,
+    linear_relations,
     pair,
     reduce_class,
     unit_vector,
@@ -82,11 +85,7 @@ def test_gw_c1_1_examples(bundled):
 
 
 def test_gw_values_are_zero_or_one(bundled):
-    import random
-
     rng = random.Random(13)
-    from sftoric.homology import chern_number
-
     for name in ("X3", "X8", "X11"):
         fan = bundled[name][0]
         for _ in range(200):
@@ -96,6 +95,28 @@ def test_gw_values_are_zero_or_one(bundled):
                 assert gw_c1_2_point(fan, alpha) in (0, 1)
             elif c1 == 1:
                 assert gw_c1_1(fan, alpha) in (0, 1)
+
+
+def test_sphere_counts_depend_on_the_class_only(bundled):
+    # every class that counts one, and each of these plus a random (-2)-divisor
+    # (most count zero), shifted by random m1 L1 + m2 L2 on all sixteen surfaces
+    rng = random.Random(11)
+    for name, (fan, _) in bundled.items():
+        l1, l2 = linear_relations(fan)
+        minus_two = [k for k in range(1, fan.d + 1) if fan.self_intersection(k) == -2]
+        for gw, classes in ((gw_c1_2_point, c1_two_classes), (gw_c1_1, c1_one_classes)):
+            reps = classes(fan)
+            alphas = list(reps)
+            for rep in reps if minus_two else ():
+                k = rng.choice(minus_two)
+                alphas.append(tuple(m + (a == k - 1) for a, m in enumerate(rep)))
+            for alpha in alphas:
+                n = gw(fan, alpha)
+                assert n == 1 or alpha not in reps, (name, alpha)
+                for _ in range(2):
+                    m1, m2 = rng.randrange(-3, 4), rng.randrange(-3, 4)
+                    shifted = tuple(a + m1 * x + m2 * y for a, x, y in zip(alpha, l1, l2))
+                    assert gw(fan, shifted) == n, (name, alpha, shifted)
 
 
 def test_enumerated_classes_are_bounded(bundled):
@@ -170,10 +191,17 @@ def test_quantum_products_reject_a_fan_that_is_not_the_specs(bundled):
 
 
 def test_quantum_products_reject_non_semi_fano():
-    # the Hirzebruch surface F3 has D4^2 = -3; its curve classes are not the
-    # ones the enumeration knows, so no product may be printed for it
+    # the Hirzebruch surface F3 has D2^2 = -3; its curve classes are not the
+    # ones the enumeration knows, so no count or product may be given for it
     fan = Fan(((1, 0), (0, 1), (-1, 3), (0, -1)))
     spec = KahlerSpec(fan, 2, ((0, 0), (0, 0), (1, 0), (0, 1)), name="F3")
+    for count in (c1_two_classes, c1_one_classes):
+        with pytest.raises(NotSemiFano, match="curve class enumeration"):
+            count(fan)
+    with pytest.raises(NotSemiFano):
+        gw_c1_2_point(fan, (1, 0, 0, 0))  # c_1(D1) = 2
+    with pytest.raises(NotSemiFano):
+        gw_c1_1(fan, (1, 1, 0, 0))  # c_1(D1 + D2) = 2 - 1
     with pytest.raises(NotSemiFano):
         quantum_product(fan, spec, 2, 4)
     with pytest.raises(NotSemiFano):
