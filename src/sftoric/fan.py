@@ -28,26 +28,6 @@ def det(a: Sequence[int], b: Sequence[int]) -> int:
     return a[0] * b[1] - a[1] * b[0]
 
 
-def _quadrant(v: Vec) -> int:
-    # counterclockwise from the positive x-axis; each quadrant is half-open
-    x, y = v
-    if x > 0 and y >= 0:
-        return 0
-    if x <= 0 and y > 0:
-        return 1
-    if x < 0 and y <= 0:
-        return 2
-    return 3
-
-
-def _angle_less(a: Vec, b: Vec) -> bool:
-    """Strict comparison of ray angles in [0, 2*pi), exact integer arithmetic."""
-    qa, qb = _quadrant(a), _quadrant(b)
-    if qa != qb:
-        return qa < qb
-    return det(a, b) > 0
-
-
 @dataclass(frozen=True)
 class MinusTwoChain:
     """A maximal cyclically contiguous run of rays whose divisors are (-2)-curves.
@@ -89,13 +69,13 @@ class Fan:
                 )
             if dk != 1:
                 raise NotSmooth(f"cone spanned by {a}, {b} has index {dk}")
-        # each step turns by an angle in (0, pi); the fan is complete and
-        # simple iff the angle wraps past 2*pi exactly once
-        wraps = sum(
-            0 if _angle_less(rays[k], rays[(k + 1) % d]) else 1 for k in range(d)
-        )
-        if wraps != 1:
-            raise NotComplete(f"ray angles wrap {wraps} times, expected once")
+        # each step turns by an angle in (0, pi), so the rays wind w >= 1
+        # times around the origin, and 3d + sum_k D_k^2 = 12 w; for w = 1
+        # this is Noether's formula K^2 + e = 12, with K^2 = sum_k D_k^2 + 2d
+        # and e = d.  The fan is complete and simple iff w = 1.
+        winding = (3 * d - sum(det(rays[k - 1], rays[(k + 1) % d]) for k in range(d))) // 12
+        if winding != 1:
+            raise NotComplete(f"ray angles wrap {winding} times, expected once")
         object.__setattr__(self, "rays", rays)
         object.__setattr__(self, "_canon", None)
         object.__setattr__(self, "_chains", None)
@@ -103,6 +83,10 @@ class Fan:
     # Fan is conceptually frozen; block accidental mutation.
     def __setattr__(self, name, value):
         raise AttributeError("Fan is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor
+        return (Fan, (self.rays,))
 
     @property
     def d(self) -> int:

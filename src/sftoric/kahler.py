@@ -89,6 +89,10 @@ class KahlerSpec:
     def __setattr__(self, name, value):
         raise AttributeError("KahlerSpec is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, which re-validates
+        return (KahlerSpec, (self.fan, self.k, self.rows, self.name))
+
     @property
     def d(self) -> int:
         return self.fan.d

@@ -3,8 +3,8 @@
 The map psi sends a divisor class D to sum_b (D.b) Z_b over the admissible
 Maslov index two classes (the open divisor equation), and the identity
 psi(sum_i v_i^j D_i) = z_j dW/dz_j is checked symbolically in the q_l.  The
-remaining two checks run at one exact rational q-sample, each with evidence
-the package checks itself:
+remaining two checks run at one exact rational q-sample in the open Kahler
+cone, each with evidence the package checks itself:
 
 * Membership.  Every quantum Stanley-Reisner relation
   p = psi(D_i) psi(D_j) - psi(D_i * D_j) must lie in the Jacobian ideal
@@ -18,10 +18,10 @@ the package checks itself:
   edge of Delta, i.e. every edge polynomial f has gcd(f, f') = 1; for a
   smooth fan 2 area(Delta) = d, the rank of H*(X).
 
-The two checks are complete, so they are the whole decision procedure.  A
-sample must lie in the open Kahler cone, and there W is nondegenerate on
-every edge: each long-edge discriminant is a q-monomial times a product of
-factors (q^A - 1)^2, A a sum of consecutive (-2)-curve areas.  For such W
+The two checks are complete, so they are the whole decision procedure.  In
+the open Kahler cone W is nondegenerate on every edge: each long-edge
+discriminant is a q-monomial times a product of factors (q^A - 1)^2, A a
+sum of consecutive (-2)-curve areas.  For such W
 the Newton filtration of the Jacobian ring gives
 J cap L(2 Delta) = L(Delta) g1 + L(Delta) g2, where L(P) is the span of the
 monomials on the lattice points of P; a relation lies in L(2 Delta), so it
@@ -178,15 +178,19 @@ def newton_dimension(fan: Fan, w: LaurentPoly) -> int | None:
 # --- the end-to-end report ---
 
 
-def default_q_sample(k: int, shift: int = 0) -> tuple[Fraction, ...]:
-    """q_l = 1 / p_l over consecutive primes starting at 7 (+ shift)."""
+def default_q_sample(k: int) -> tuple[Fraction, ...]:
+    """q_l = 1 / p_l over the k consecutive primes starting at 7.
+
+    ``verify_homomorphism`` runs at this sample when it lies in the open
+    Kahler cone, as it does for every bundled surface.
+    """
     primes: list[int] = []
     n = 7
-    while len(primes) < shift + k:
+    while len(primes) < k:
         if all(n % p for p in range(2, isqrt(n) + 1)):
             primes.append(n)
         n += 1
-    return tuple(Fraction(1, p) for p in primes[shift:])
+    return tuple(Fraction(1, p) for p in primes)
 
 
 @dataclass(slots=True)
@@ -194,7 +198,8 @@ class VerificationReport:
     """Line-oriented record of the QH = Jac verification for one surface.
 
     ``samples_tried`` lists the sample the checks ran at; it has one entry,
-    since a failed check is final and off-cone windows are skipped unseen.
+    since a failed check is final and the default sample is chosen in the
+    cone before any check runs.
     """
 
     surface: str
@@ -239,11 +244,7 @@ def off_cone_edge(spec: KahlerSpec, qvals: Sequence[Fraction]) -> int | None:
     such monomial is below one.
     """
     for i in range(1, spec.d + 1):
-        m = Fraction(1)
-        for q, e in zip(qvals, spec.edge_length(i)):
-            if e:
-                m *= Fraction(q) ** e
-        if m >= 1:
+        if QPoly.monomial(spec.k, spec.edge_length(i)).specialize(qvals) >= 1:
             return i
     return None
 
@@ -281,21 +282,22 @@ def verify_homomorphism(
 ) -> VerificationReport:
     """Check every quantum relation and the dimension equality for one surface.
 
-    With qvals omitted, the sample is the first of three prime-reciprocal
-    windows that lies in the open Kahler cone.  Explicit qvals off the cone
-    raise OutOfRange, naming the first edge whose q-monomial is >= 1.  A
-    relation without a certificate fails, and a degenerate edge leaves the
-    dimension undefined.
+    With qvals omitted, the sample is ``default_q_sample(k)`` when it lies
+    in the open Kahler cone, else q_l = 2^(-t_l) at t = spec.sample_point.
+    KahlerSpec certified every edge length L_i . t >= 1 there, so each edge
+    q-monomial is 2^(-L_i . t) <= 1/2 and the sample lies in the cone.
+    Explicit qvals off the cone raise OutOfRange, naming the first edge
+    whose q-monomial is >= 1.  A relation without a certificate fails, and
+    a degenerate edge leaves the dimension undefined.
     """
     fan = spec.fan
     if fan.d == 3:
         raise IsP2("quantum Stanley-Reisner verification excludes P^2")
     linear_ok = verify_linear_identity(spec)
     if qvals is None:
-        windows = (default_q_sample(spec.k, shift) for shift in range(3))
-        sample = next((s for s in windows if off_cone_edge(spec, s) is None), None)
-        if sample is None:
-            raise OutOfRange("none of the three default q-samples lies in the Kahler cone")
+        sample = default_q_sample(spec.k)
+        if off_cone_edge(spec, sample) is not None:
+            sample = tuple(Fraction(1, 2**t) for t in spec.sample_point)
     else:
         sample = tuple(Fraction(v) for v in qvals)
     w_at = _w_on_cone(spec, sample)

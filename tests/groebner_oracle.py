@@ -47,7 +47,11 @@ def _to_poly(p: LaurentPoly):
 def _groebner_basis(
     ideal: tuple[LaurentPoly, LaurentPoly], qvals: Sequence[Fraction], order: str
 ):
-    """Groebner basis of the ideal (g1, g2) of ``jacobian_ideal`` at qvals."""
+    """Groebner basis of the ideal (g1, g2) of ``jacobian_ideal`` at qvals.
+
+    The reduced basis is unique for its order, so the algorithm only sets the
+    speed; F5B is many times faster than Buchberger on X10 and X11.
+    """
     from sympy import QQ, Poly, groebner
 
     z1, z2, u = _gens()
@@ -55,7 +59,7 @@ def _groebner_basis(
         *(_to_poly(g.specialize_q(qvals)) for g in ideal),
         Poly(u * z1 * z2 - 1, z1, z2, u, domain=QQ),
     ]
-    return groebner(gens, z1, z2, u, order=order, domain=QQ)
+    return groebner(gens, z1, z2, u, order=order, domain=QQ, method="f5b")
 
 
 def groebner_membership(

@@ -203,6 +203,21 @@ def test_cli_verify_many_parameters(tmp_path, capsys):
     assert out.splitlines()[-1] == "RESULT PASS"
 
 
+def test_cli_verify_default_sample_off_the_prime_sample(tmp_path, capsys):
+    # edges 2 and 4 of this F0 have length t1 - 3 t2, which the default
+    # sample q = (1/7, 1/11) makes negative: verify falls back to q = 2^(-t)
+    # at the certified Kahler point t = (4, 1)
+    path = tmp_path / "f0.fan"
+    path.write_text(
+        "surface F0\nparams 2\nray 1 0 : 0 0\nray 0 1 : 0 0\n"
+        "ray -1 0 : 1 -3\nray 0 -1 : 0 1\n"
+    )
+    rc, out, err = run(capsys, "verify", str(path))
+    assert rc == 0 and err == ""
+    assert "q-sample q1=1/16 q2=1/2\n" in out
+    assert out.splitlines()[-1] == "RESULT PASS"
+
+
 def test_cli_verify_rejects_a_sample_off_the_kahler_cone(capsys):
     # D3 of X8 has zero area at this sample: an input error, not a FAIL
     rc, out, err = run(capsys, "verify", "X8", "--q", "1/2,1/2,1/4,1/2,1/2,1/2")

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from itertools import combinations
 
@@ -46,6 +48,22 @@ def test_validate_examples():
     # dets are +1 around each step but the angles never wrap: not a fan
     with pytest.raises((NotComplete, NotCounterclockwise)):
         Fan([(1, 0), (1, 1), (1, 2)])
+    # every step has det +1, but the rays go round w times: 3d + sum D^2 = 12 w
+    with pytest.raises(NotComplete, match=r"^ray angles wrap 2 times, expected once$"):
+        Fan(P2_RAYS * 2)
+    with pytest.raises(NotComplete, match=r"^ray angles wrap 3 times, expected once$"):
+        Fan(F0_RAYS * 3)
+
+
+def test_fan_copy_and_pickle_round_trip():
+    for rays in (P2_RAYS, F0_RAYS, X3_RAYS):
+        fan = Fan(rays)
+        fan.canonical_form()
+        for twin in (copy.copy(fan), copy.deepcopy(fan), pickle.loads(pickle.dumps(fan))):
+            assert type(twin) is Fan and twin == fan and twin.rays == rays
+            assert twin.canonical_form() == fan.canonical_form()
+            with pytest.raises(AttributeError, match="Fan is immutable"):
+                twin.rays = ()
 
 
 def test_self_intersection_examples():

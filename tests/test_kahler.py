@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -184,3 +186,17 @@ def test_curve_area_length_mismatch(bundled):
     _, x3 = bundled["X3"]
     with pytest.raises(ParameterMismatch):
         x3.curve_area((1, 0))
+
+
+def test_kahler_spec_copy_and_pickle_round_trip(bundled):
+    for name in ("F0", "X3", "X7"):
+        fan, spec = bundled[name]
+        for twin in (copy.copy(spec), copy.deepcopy(spec), pickle.loads(pickle.dumps(spec))):
+            assert type(twin) is KahlerSpec and twin.fan == fan, name
+            assert (twin.k, twin.rows, twin.name) == (spec.k, spec.rows, spec.name), name
+            assert twin.sample_point == spec.sample_point, name
+            assert [twin.edge_length(i) for i in range(1, fan.d + 1)] == [
+                spec.edge_length(i) for i in range(1, fan.d + 1)
+            ], name
+            with pytest.raises(AttributeError, match="KahlerSpec is immutable"):
+                twin.k = 0

@@ -21,8 +21,9 @@ from groebner_oracle import (
 )
 from presentations import GENERATORS, presentation
 from sftoric import cli
-from sftoric.errors import IsP2, OutOfRange, ParameterMismatch
+from sftoric.errors import DegenerateEdge, InvalidKahlerData, IsP2, OutOfRange, ParameterMismatch
 from sftoric.homology import linear_relations, solve_linear, unit_vector
+from sftoric.kahler import KahlerSpec
 from sftoric.laurent import LaurentPoly, QPoly
 from sftoric.potential import superpotential, z_beta
 from sftoric.disks import DiskClass
@@ -311,28 +312,45 @@ def test_default_samples_lie_in_the_kahler_cone(bundled):
 
 def test_default_sample_has_one_value_per_parameter():
     first = (7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71)
-    assert default_q_sample(13) == tuple(Fraction(1, p) for p in first[:13])
-    for shift in range(3):
-        for k in range(15):
-            assert default_q_sample(k, shift) == tuple(
-                Fraction(1, p) for p in first[shift : shift + k]
-            ), (k, shift)
+    for k in range(15):
+        assert default_q_sample(k) == tuple(Fraction(1, p) for p in first[:k]), k
 
 
 def test_auto_resampling_skips_samples_off_the_cone(bundled, monkeypatch):
-    # put the first default window on the wall of X8: it is skipped, not
-    # raised, and the report records only the windows actually tried
+    # put the default sample on the wall of X8: it is skipped, not raised,
+    # and the checks run at q_l = 2^(-t_l) at the certified Kahler point
     import sftoric.verifier as verifier
 
     fan, spec = bundled["X8"]
     wall = (Fraction(1, 2),) * 2 + (Fraction(1, 4),) + (Fraction(1, 2),) * 3
-    real = verifier.default_q_sample
-    monkeypatch.setattr(
-        verifier, "default_q_sample", lambda k, shift=0: wall if shift == 0 else real(k, shift)
-    )
+    monkeypatch.setattr(verifier, "default_q_sample", lambda k: wall)
     report = verify_homomorphism(spec)
     assert report.passed
-    assert report.samples_tried == [real(spec.k, 1)]
+    fallback = tuple(Fraction(1, 2**t) for t in spec.sample_point)
+    assert report.samples_tried == [fallback] and report.q_sample == fallback
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@example(name="F0", k=2, entries=[0, 0, 0, 0, 0, 0, 1, -3, 0, 0, 1, 0])
+@given(
+    name=st.sampled_from(("F0", "F1", "X1")),
+    k=st.integers(1, 3),
+    entries=st.lists(st.integers(-3, 3), min_size=12, max_size=12),
+)
+def test_every_accepted_kahler_class_verifies(name, k, entries):
+    # whatever rows KahlerSpec accepts, the default sample (or the fallback
+    # at its certified point) lies in the cone and the verification passes
+    fan = load_bundled(name)[0]
+    rows = [entries[3 * i : 3 * i + k] for i in range(fan.d)]
+    try:
+        spec = KahlerSpec(fan, k, rows, name)
+    except (InvalidKahlerData, DegenerateEdge):
+        assume(False)
+    report = verify_homomorphism(spec)
+    fallback = tuple(Fraction(1, 2**t) for t in spec.sample_point)
+    assert report.q_sample in (default_q_sample(k), fallback)
+    assert off_cone_edge(spec, report.q_sample) is None
+    assert report.passed and report.dimension == fan.d
 
 
 def test_constant_has_no_certificate(bundled):
@@ -486,7 +504,8 @@ def test_certificates_are_complete_by_the_rank_identity(name):
     ]
     assert len(two_delta) == 3 * fan.d + 1
     for shift in range(3):
-        w = superpotential(spec).w.specialize_q(default_q_sample(spec.k, shift))
+        # the k primes from the (shift+1)-th on, i.e. 1/7.., 1/11.., 1/13..
+        w = superpotential(spec).w.specialize_q(default_q_sample(spec.k + shift)[shift:])
         assert newton_dimension(fan, w) == fan.d, shift
         ideal = jacobian_ideal(w)
         products = [LaurentPoly.monomial(0, m) * g for m in delta for g in ideal]
@@ -561,7 +580,7 @@ def test_long_edge_discriminants_are_area_factors(bundled):
 )
 def test_samples_inside_the_kahler_cone_verify(name, r, offsets):
     # q_l = r^(t_l) at a positive integer point t of the open Kahler cone,
-    # away from the prime windows: W is nondegenerate, every relation has a
+    # away from the default sample: W is nondegenerate, every relation has a
     # certificate and the verification passes
     fan, spec = load_bundled(name)
     t = [s + o for s, o in zip(spec.sample_point, offsets)]
