@@ -201,37 +201,22 @@ F2_RAYS = ((1, 0), (0, 1), (-1, 2), (0, -1))
 def classify_semi_fano(max_rays: int = 9) -> list[Fan]:
     """All isomorphism classes of complete smooth semi-Fano fans with <= max_rays rays.
 
-    Breadth-first blowups from the minimal surfaces P^2, F_0 and F_2 (the only
-    semi-Fano surfaces without a (-1)-ray); every blowdown of a semi-Fano
-    surface along a (-1)-ray is again semi-Fano, so pruning at D^2 <= -3 loses
-    nothing.  Output is one canonical representative per class, sorted by ray
-    count and then by canonical encoding.
+    One work-list, seeded with P^2, F_0 and F_2 (the only semi-Fano surfaces
+    without a (-1)-ray): a candidate past max_rays or with some D^2 <= -3 is
+    skipped (blowing down a (-1)-ray keeps a surface semi-Fano, so this loses
+    nothing), and the first of each canonical form is kept as Fan(form) with
+    its d blowups pushed.  Output is sorted by ray count, then by encoding.
     """
     if max_rays < 3:
         raise NotComplete("max_rays must be at least 3")
-    seeds = [Fan(P2_RAYS), Fan(F0_RAYS), Fan(F2_RAYS)]
     classes: dict[tuple, Fan] = {}
-    frontier: list[Fan] = []
-    for fan in seeds:
-        if fan.d <= max_rays and fan.is_semi_fano():
-            key = fan.canonical_form()
-            if key not in classes:
-                classes[key] = Fan(key)
-                frontier.append(Fan(key))
-    while frontier:
-        nxt: list[Fan] = []
-        for fan in frontier:
-            if fan.d + 1 > max_rays:
-                continue
-            for i in range(1, fan.d + 1):
-                up = fan.blowup(i)
-                if not up.is_semi_fano():
-                    continue
-                key = up.canonical_form()
-                if key not in classes:
-                    rep = Fan(key)
-                    classes[key] = rep
-                    nxt.append(rep)
-        frontier = nxt
-    out = sorted(classes.values(), key=lambda f: (f.d, f.canonical_form()))
-    return out
+    todo = [Fan(P2_RAYS), Fan(F0_RAYS), Fan(F2_RAYS)]
+    while todo:
+        fan = todo.pop()
+        if fan.d > max_rays or not fan.is_semi_fano():
+            continue
+        key = fan.canonical_form()
+        if key not in classes:
+            classes[key] = rep = Fan(key)
+            todo.extend(rep.blowup(i) for i in range(1, rep.d + 1))
+    return sorted(classes.values(), key=lambda f: (f.d, f.canonical_form()))

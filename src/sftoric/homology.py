@@ -145,26 +145,19 @@ def solve_linear(matrix: Sequence[Sequence], rhs: Sequence[Sequence]):
 
 
 def fiber_classes(fan: Fan):
-    """For each opposite-ray pair {a, b}, the ruling fiber class.
+    """For each opposite-ray pair (a, b), a < b, the ruling fiber class.
 
-    The projection along v_a maps the fan onto the fan of P^1; the fiber over
-    one of the two torus-fixed points is sum_{det(v_a, v_k) > 0} det(v_a, v_k) D_k,
-    an effective representative with f.D_a = f.D_b = 1 and zero pairing with
-    every other divisor, f^2 = 0 and c_1(f) = 2.
+    b is the ray index of -v_a.  Projecting along v_a maps the fan onto the fan
+    of P^1, and the fiber over one fixed point is f = sum_k max(det(v_a, v_k), 0)
+    D_k: effective, f.D_a = f.D_b = 1, f.D_k = 0 for every other k, f^2 = 0
+    and c_1(f) = 2.
     """
-    d = fan.d
+    index = {v: k for k, v in enumerate(fan.rays, start=1)}
     out = []
-    for a in range(1, d + 1):
-        va = fan.ray(a)
-        for b in range(a + 1, d + 1):
-            vb = fan.ray(b)
-            if va[0] + vb[0] == 0 and va[1] + vb[1] == 0:
-                rep = [0] * d
-                for k in range(1, d + 1):
-                    w = det(va, fan.ray(k))
-                    if w > 0:
-                        rep[k - 1] = w
-                out.append(((a, b), tuple(rep)))
+    for a, va in enumerate(fan.rays, start=1):
+        b = index.get((-va[0], -va[1]), 0)
+        if b > a:
+            out.append(((a, b), tuple(max(det(va, vk), 0) for vk in fan.rays)))
     return out
 
 

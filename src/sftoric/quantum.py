@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .disks import chain_sequences
+from .disks import enumerate_admissible
 from .errors import IsP2, NotPrimitivePair, ParameterMismatch, WrongChern
 from .fan import Fan
 from .homology import chern_number, count_by_class, fiber_classes, profile, reduce_class
@@ -83,9 +83,14 @@ def _runs_from(chain, a: int):
 
 
 def c1_two_classes(fan: Fan) -> list[tuple[int, ...]]:
-    """Effective representatives of every c_1 = 2 class with point-GW one."""
+    """Effective representatives of every c_1 = 2 class with point-GW one.
+
+    Read off the fibers f of ``fiber_classes`` and the counted disks of
+    ``enumerate_admissible``, in the two shapes of the module docstring.
+    """
     fan.require_semi_fano("the curve class enumeration")
     d = fan.d
+    disks = enumerate_admissible(fan)
     seen: dict[tuple, tuple[int, ...]] = {}
 
     def record(rep):
@@ -94,24 +99,16 @@ def c1_two_classes(fan: Fan) -> list[tuple[int, ...]]:
         seen.setdefault(profile(fan, rep), tuple(rep))
 
     for (a, b), f in fiber_classes(fan):
-        record(f)
-        chains = {}
-        for end in (a, b):
-            if fan.self_intersection(end) == -2:
-                chains[end] = fan.chain_through(end)
-        # one-chain shape: an admissible sequence on an interval of the chain
-        # through one end, centered where the fiber meets it
-        for end, chain in chains.items():
-            for seq in chain_sequences(chain, end):
-                rep = list(f)
-                for k, v in seq.items():
-                    rep[k - 1] += v
-                record(rep)
+        # one-chain shape: f + alpha for each disk beta_end + alpha counted at an end
+        for disk in disks:
+            if disk.i in (a, b):
+                record([m + x for m, x in zip(f, disk.alpha)])
         # two-chain shape: unit runs hanging off both ends of the fiber
         # (opposite rays can never lie on one chain: its heads are collinear)
-        if len(chains) == 2 and chains[a] != chains[b]:
-            for run_a in _runs_from(chains[a], a):
-                for run_b in _runs_from(chains[b], b):
+        chain_a, chain_b = fan.chain_through(a), fan.chain_through(b)
+        if chain_a and chain_b and chain_a != chain_b:
+            for run_a in _runs_from(chain_a, a):
+                for run_b in _runs_from(chain_b, b):
                     rep = list(f)
                     for k in run_a + run_b:
                         rep[k - 1] += 1
@@ -181,8 +178,6 @@ def _curve_data(fan: Fan, spec: KahlerSpec):
 def _check_supported(fan: Fan, spec: KahlerSpec) -> None:
     if fan != spec.fan:
         raise ParameterMismatch(f"{fan} is not the fan of {spec}")
-    if fan.d == 3:
-        raise IsP2("quantum Stanley-Reisner data is not computed for P^2")
 
 
 def _product(fan: Fan, k: int, data, i: int, j: int) -> QHElement:
@@ -218,16 +213,17 @@ def quantum_product(fan: Fan, spec: KahlerSpec, i: int, j: int) -> QHElement:
     D_i * D_j = sum_{c1(a)=2} (D_i.a)(D_j.a) GW(a; pt) q^a
               + sum_{c1(a)=1} (D_i.a)(D_j.a) GW(a) q^a [a],
     where [a] = sum_m (D^m.a) D_m for any dual bases {D^m}, {D_m} of H^2 by
-    Poincare duality; [a] is reduced modulo linear equivalence.  This is the
-    entry of the pair in ``quantum_sr_relations``.  Raises ParameterMismatch
-    when fan is not spec.fan.
+    Poincare duality; [a] is reduced modulo linear equivalence.  Checks the
+    pair against ``primitive_pairs`` (IsP2 on P^2) and builds it alone from
+    ``_curve_data``, as ``quantum_sr_relations`` does.  Raises
+    ParameterMismatch when fan is not spec.fan.
     """
     _check_supported(fan, spec)
     d = fan.d
     i0, j0 = (i - 1) % d + 1, (j - 1) % d + 1
-    if i0 == j0 or (i0 - j0) % d in (1, d - 1):
+    if (min(i0, j0), max(i0, j0)) not in primitive_pairs(fan):
         raise NotPrimitivePair(f"rays {i0}, {j0} span a cone")
-    return dict(quantum_sr_relations(fan, spec))[min(i0, j0), max(i0, j0)]
+    return _product(fan, spec.k, _curve_data(fan, spec), i0, j0)
 
 
 def quantum_sr_relations(fan: Fan, spec: KahlerSpec):

@@ -98,33 +98,26 @@ def cofactor_certificates(
     """Cofactors (a, b) with p = a g1 + b g2 for each p, or None.
 
     ideal is the pair (g1, g2) of ``jacobian_ideal``.
-    The unknowns are the coefficients of a and b on the lattice points of
-    Delta = conv(rays), i.e. the origin and the rays of a semi-Fano fan; one
-    row per monomial, one right-hand side per p, one elimination for all.
+    The unknowns are the coefficients of a and b on the lattice points s of
+    Delta = conv(rays), i.e. the origin and the rays of a semi-Fano fan, so
+    the columns are z^s g1 and z^s g2, with one row per monomial in sorted
+    order and one right-hand side per p, solved by one elimination.
     A solution is returned only after a * g1 + b * g2 == p is re-checked.
     """
     g1, g2 = ideal
     support = [(0, 0), *fan.rays]
     n = len(support)
-    rows: dict[tuple[int, int], int] = {}
-    entries: dict[tuple[int, int], Fraction] = {}
-    for half, g in enumerate((g1, g2)):
-        values = [(e, _value(c)) for e, c in g.terms.items()]
-        for col, s in enumerate(support, start=half * n):
-            for e, v in values:
-                row = rows.setdefault((s[0] + e[0], s[1] + e[1]), len(rows))
-                entries[row, col] = v
-    targets: dict[tuple[int, int], Fraction] = {}
-    for col, p in enumerate(polys):
-        for m, c in p.terms.items():
-            targets[rows.setdefault(m, len(rows)), col] = _value(c)
-    matrix = [[0] * (2 * n) for _ in rows]
-    for (row, col), v in entries.items():
-        matrix[row][col] = v
-    rhs = [[0] * len(polys) for _ in rows]
-    for (row, col), v in targets.items():
-        rhs[row][col] = v
-    _, solutions = solve_linear(matrix, rhs)
+    columns = [LaurentPoly.monomial(0, s) * g for g in (g1, g2) for s in support]
+    rows = {m: r for r, m in enumerate(sorted({m for p in (*columns, *polys) for m in p.terms}))}
+
+    def dense(ps: Sequence[LaurentPoly]) -> list[list]:
+        out = [[0] * len(ps) for _ in rows]
+        for col, p in enumerate(ps):
+            for m, c in p.terms.items():
+                out[rows[m]][col] = _value(c)
+        return out
+
+    _, solutions = solve_linear(dense(columns), dense(polys))
     out = []
     for p, x in zip(polys, solutions):
         cert = None

@@ -194,6 +194,13 @@ def test_classify_small():
         assert any(fans_isomorphic(fan, g) for g in four)
 
 
+def test_classify_past_nine_rays():
+    # no semi-Fano toric surface has more than nine rays, so the list stops there
+    counts = [len(classify_semi_fano(n)) for n in range(3, 13)]
+    assert counts == [1, 4, 6, 10, 12, 15, 16, 16, 16, 16]
+    assert [f.rays for f in classify_semi_fano(12)] == [f.rays for f in classify_semi_fano(9)]
+
+
 def test_classify_full(bundled):
     fans = classify_semi_fano(9)
     assert len(fans) == 16

@@ -2,20 +2,27 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from presentations import GENERATORS, presentation
+from sftoric import quantum
 from sftoric.errors import IsP2, NotPrimitivePair, NotSemiFano, ParameterMismatch, WrongChern
 from sftoric.fan import Fan, P2_RAYS
 from sftoric.homology import (
     chern_number,
     classes_equal,
+    fiber_classes,
     linear_relations,
     pair,
+    profile,
     reduce_class,
     unit_vector,
 )
 from sftoric.kahler import KahlerSpec
 from sftoric.laurent import QPoly
+from sftoric.surfaces import BUNDLED, load_bundled
 from sftoric.quantum import (
+    QHElement,
     c1_one_classes,
     c1_two_classes,
     gw_c1_1,
@@ -125,16 +132,32 @@ def test_enumerated_classes_are_bounded(bundled):
             assert all(0 <= m <= fan.d + 2 for m in rep), name
 
 
-def test_quantum_product_x3_worked_example(bundled):
-    fan, spec = bundled["X3"]
-    el = quantum_product(fan, spec, 2, 4)
-    k = spec.k
-    assert el.scalar == qm(k, (1, 0, 1, 2)) + QPoly.monomial(k, (1, 1, 1, 2), -1)
+def x3_worked_example(k):
+    """D2 * D4 on X3, worked out by hand."""
+    scalar = qm(k, (1, 0, 1, 2)) + QPoly.monomial(k, (1, 1, 1, 2), -1)
     # q1q3q4 (D1+D5+D6) - q1q2q3q4 (D1+D4+D5+D6), reduced: coordinates 5, 6
     # are eliminated, leaving q1q3q4(D1+D2-D3-D4) - q1q2q3q4(D1+D2-D3)
     a = qm(k, (1, 0, 1, 1))
     b = qm(k, (1, 1, 1, 1))
-    assert el.divisor == (a - b, a - b, b - a, -a, QPoly.zero(k), QPoly.zero(k))
+    return QHElement(scalar, (a - b, a - b, b - a, -a, QPoly.zero(k), QPoly.zero(k)))
+
+
+def test_quantum_product_x3_worked_example(bundled):
+    fan, spec = bundled["X3"]
+    el = quantum_product(fan, spec, 2, 4)
+    expected = x3_worked_example(spec.k)
+    assert el.scalar == expected.scalar
+    assert el.divisor == expected.divisor
+
+
+def test_quantum_product_builds_only_its_pair(bundled, monkeypatch):
+    # one product reads its pair and the curve data, not every relation
+    def refuse(*args):
+        raise AssertionError("quantum_product rebuilt every relation")
+
+    monkeypatch.setattr(quantum, "quantum_sr_relations", refuse)
+    fan, spec = bundled["X3"]
+    assert quantum_product(fan, spec, 2, 4) == x3_worked_example(spec.k)
 
 
 def test_quantum_product_f0(bundled):
@@ -306,3 +329,49 @@ def test_relations_share_zero_and_exponent_tuples(bundled):
                 assert type(c) is int
                 coefficients += 1
     assert coefficients and len(exponents) < coefficients
+
+
+def _bundled_profiles(base, M, fan, reps):
+    """Sorted pairing profiles on ``base`` of classes given on its presentation ``fan``.
+
+    Ray k of the presentation is M v for the ray v of base at index sigma[k];
+    a class moves to base by that relabelling, which keeps the intersection
+    form, so the profile is taken there.
+    """
+    image = {
+        (M[0][0] * a + M[0][1] * b, M[1][0] * a + M[1][1] * b): k
+        for k, (a, b) in enumerate(base.rays)
+    }
+    sigma = [image[v] for v in fan.rays]
+    out = []
+    for rep in reps:
+        moved = [0] * base.d
+        for k, m in zip(sigma, rep):
+            moved[k] = m
+        out.append(profile(base, moved))
+    return sorted(out)
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@example(name="X8", generator="S", shift=5)  # the (-2)-chain (8, 1, 2) meets a fiber end
+@example(name="X11", generator="F", shift=2)  # the (-2)-chain (9, 1) meets a fiber end
+@given(
+    name=st.sampled_from(BUNDLED[1:]),
+    generator=st.sampled_from(sorted(GENERATORS)),
+    shift=st.integers(0, 8),
+)
+def test_curve_classes_of_presentations_are_the_bundled_ones(name, generator, shift):
+    # the fibers and the c_1 = 2, 1 classes depend on the surface, not on
+    # its presentation: not on GL(2, Z), the ray order or where the index
+    # seam cuts a (-2)-chain
+    base = load_bundled(name)[0]
+    M = GENERATORS[generator]
+    fan = presentation(name, M, shift % base.d).fan
+    identity = ((1, 0), (0, 1))
+
+    def fibers(f):
+        return [rep for _, rep in fiber_classes(f)]
+
+    for classes in (fibers, c1_two_classes, c1_one_classes):
+        expected = _bundled_profiles(base, identity, base, classes(base))
+        assert _bundled_profiles(base, M, fan, classes(fan)) == expected, classes
