@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -48,7 +49,7 @@ def cmd_check(args) -> int:
     if semi:
         chains = fan.minus_two_chains()
         if chains:
-            body = " ".join("[" + " ".join(map(str, c.indices)) + "]" for c in chains)
+            body = " ".join("[" + " ".join(map(str, c)) + "]" for c in chains)
             print(f"(-2)-chains: {body}")
         else:
             print("(-2)-chains: none")
@@ -168,6 +169,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes a value such as "-1/2" for an option string: pass "--q=-1/2"
+    numeric = ("--bulk-divisor", "--bulk-constant", "--q")
+    for k in range(len(argv) - 1, 0, -1):
+        if argv[k - 1] in numeric and re.match(r"-[\d./]", argv[k]):
+            argv[k - 1 : k + 1] = [argv[k - 1] + "=" + argv[k]]
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

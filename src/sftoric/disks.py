@@ -4,8 +4,9 @@ A disk class is a basic class beta_i plus a sphere part alpha = sum s_k D_k.
 The invariant n_b depends only on i and on the class of alpha in H_2(X), and
 it is 1 exactly for the classes that ``enumerate_admissible`` lists: alpha = 0
 (basic classes always count one), or D_i^2 = -2 and alpha is supported on the
-maximal (-2)-chain through D_i as a contiguous interval containing i, with the
-multiplicity sequence admissible centered at i:
+maximal (-2)-chain through D_i (a tuple of ray indices, as
+``Fan.minus_two_chains`` gives it) as a contiguous interval of that tuple
+containing i, with the multiplicity sequence admissible centered at i:
 
 * every value is a positive integer,
 * s_j <= s_{j+1} <= s_j + 1 left of the center,
@@ -24,8 +25,8 @@ from itertools import product
 from typing import Iterator
 
 from .errors import ParameterMismatch, WrongMaslov
-from .fan import Fan, MinusTwoChain
-from .homology import chern_number, count_by_class
+from .fan import Fan
+from .homology import chern_number, profile
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,21 +83,23 @@ def open_gw(fan: Fan, b: DiskClass) -> int:
         raise ParameterMismatch(f"basic index {b.i} is not a ray index 1..{fan.d}")
     if maslov_index(fan, b) != 2:
         raise WrongMaslov(f"class has Maslov index {maslov_index(fan, b)}, not 2")
+    target = profile(fan, b.alpha)
     same_i = (a.alpha for a in enumerate_admissible(fan) if a.i == b.i)
-    return count_by_class(fan, b.alpha, same_i)
+    return 1 if any(profile(fan, alpha) == target for alpha in same_i) else 0
 
 
-def chain_sequences(chain: MinusTwoChain, i: int) -> Iterator[dict[int, int]]:
+def chain_sequences(chain: tuple[int, ...], i: int) -> Iterator[dict[int, int]]:
     """Every admissible multiplicity sequence on the chain centered at ray i.
 
+    The chain is a tuple of ray indices as ``Fan.minus_two_chains`` gives it.
     Keyed by ray index: every interval [lo, hi] of chain positions containing
     the center, then every admissible sequence on it.
     """
-    center = chain.position(i)
+    center = chain.index(i)
     for lo in range(center + 1):
         for hi in range(center, len(chain)):
             for seq in admissible_sequences(lo, hi, center):
-                yield {chain.indices[p]: v for p, v in seq.items()}
+                yield {chain[p]: v for p, v in seq.items()}
 
 
 def enumerate_admissible(fan: Fan) -> list[DiskClass]:
@@ -108,7 +111,7 @@ def enumerate_admissible(fan: Fan) -> list[DiskClass]:
     fan.require_semi_fano("the disk count formula")
     out = [DiskClass.basic(fan, i) for i in range(1, fan.d + 1)]
     for chain in fan.minus_two_chains():
-        for i in chain.indices:
+        for i in chain:
             for seq in chain_sequences(chain, i):
                 alpha = [0] * fan.d
                 for k, v in seq.items():

@@ -3,12 +3,12 @@
 A fan is stored as its cyclically ordered list of primitive ray generators
 v_1, ..., v_d (strictly counterclockwise, adjacent determinants +1).  Ray and
 divisor indices are 1-based throughout, matching the labels D_1..D_d, and all
-index arithmetic is cyclic.
+index arithmetic is cyclic.  A (-2)-chain is a plain tuple of such indices in
+cyclic order along the chain.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -28,29 +28,11 @@ def det(a: Sequence[int], b: Sequence[int]) -> int:
     return a[0] * b[1] - a[1] * b[0]
 
 
-@dataclass(frozen=True)
-class MinusTwoChain:
-    """A maximal cyclically contiguous run of rays whose divisors are (-2)-curves.
-
-    ``indices`` are 1-based ray indices in cyclic order along the chain.
-    """
-
-    indices: tuple[int, ...]
-
-    def __contains__(self, i: int) -> bool:
-        return i in self.indices
-
-    def position(self, i: int) -> int:
-        return self.indices.index(i)
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-
 class Fan:
     """A complete smooth 2D fan; immutable after validation."""
 
-    __slots__ = ("rays", "_canon", "_chains")
+    # _canon and _chains are filled here on first use, _curves by quantum
+    __slots__ = ("rays", "_canon", "_chains", "_curves")
 
     def __init__(self, rays: Iterable[Sequence[int]]):
         rays = tuple((int(v[0]), int(v[1])) for v in rays)
@@ -79,6 +61,7 @@ class Fan:
         object.__setattr__(self, "rays", rays)
         object.__setattr__(self, "_canon", None)
         object.__setattr__(self, "_chains", None)
+        object.__setattr__(self, "_curves", None)
 
     # Fan is conceptually frozen; block accidental mutation.
     def __setattr__(self, name, value):
@@ -115,37 +98,39 @@ class Fan:
         # -K is ample iff it is positive on every D_i, i.e. all D_i^2 >= -1
         return all(s >= -1 for s in self.self_intersections())
 
-    def minus_two_chains(self) -> list[MinusTwoChain]:
-        """Maximal cyclic runs of (-2)-divisors, sorted by first index.
+    def minus_two_chains(self) -> tuple[tuple[int, ...], ...]:
+        """Maximal cyclic runs of (-2)-divisors as index tuples, sorted by first index.
 
-        Found once per fan, like ``canonical_form``; each call returns a new list.
+        Each tuple lists its rays in cyclic order along the chain.  Found once
+        per fan, like ``canonical_form``.
         """
         if self._chains is not None:
-            return list(self._chains)
+            return self._chains
         s = self.self_intersections()
         d = self.d
         if all(x == -2 for x in s):
             raise FullCycle("every divisor has self-intersection -2")
         # start scanning just after some non-(-2) ray so runs never split
         start = next(k for k in range(d) if s[k] != -2)
-        chains: list[MinusTwoChain] = []
+        chains: list[tuple[int, ...]] = []
         run: list[int] = []
         for off in range(1, d + 1):
             k = (start + off) % d
             if s[k] == -2:
                 run.append(k + 1)
             elif run:
-                chains.append(MinusTwoChain(tuple(run)))
+                chains.append(tuple(run))
                 run = []
         for chain in chains:  # Prop. on (-2)-chains: midpoint relation
             for j in range(1, len(chain) - 1):
-                prev, mid, nxt = (self.ray(chain.indices[j + t]) for t in (-1, 0, 1))
+                prev, mid, nxt = (self.ray(chain[j + t]) for t in (-1, 0, 1))
                 assert (prev[0] + nxt[0], prev[1] + nxt[1]) == (2 * mid[0], 2 * mid[1])
-        chains.sort(key=lambda c: c.indices[0])
+        chains.sort()  # the chains are disjoint, so this sorts by first index
         object.__setattr__(self, "_chains", tuple(chains))
-        return chains
+        return self._chains
 
-    def chain_through(self, i: int) -> MinusTwoChain | None:
+    def chain_through(self, i: int) -> tuple[int, ...] | None:
+        """The (-2)-chain containing ray i (1 <= i <= d), or None."""
         return next((chain for chain in self.minus_two_chains() if i in chain), None)
 
     def blowup(self, i: int) -> "Fan":

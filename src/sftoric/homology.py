@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import ParameterMismatch
 from .fan import Fan, det
@@ -62,17 +62,6 @@ def profile(fan: Fan, x: Sequence) -> tuple:
     g = gram_matrix(fan)
     d = fan.d
     return tuple(sum(g[a][b] * x[a] for a in range(d) if x[a]) for b in range(d))
-
-
-def count_by_class(fan: Fan, x: Sequence, reps: Iterable[Sequence]) -> int:
-    """1 when x has the class of one of ``reps`` (by pairing profile), else 0.
-
-    Every curve and disk count of the package reads its value this way, off
-    the enumeration of the classes that count one, so the count depends on
-    the class of x and not on the vector chosen to represent it.
-    """
-    target = profile(fan, x)
-    return 1 if any(profile(fan, rep) == target for rep in reps) else 0
 
 
 def chern_number(fan: Fan, alpha: Sequence[int]) -> int:

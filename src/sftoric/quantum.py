@@ -13,9 +13,11 @@ families of rational curve classes:
   lie on (-2)-chains, when both sides are unit runs hanging off the fiber
   (two-chain path shape).  Everything else counts zero.
 
-* c_1 = 1 with no constraint.  These are connected chains of toric divisors
-  with exactly one (-1)-divisor, all others (-2), and the count is one exactly
-  when all multiplicities are one (both arms admissible about the (-1)).
+* c_1 = 1 with no constraint.  Such a class is a (-1)-divisor D_r plus a
+  unit run into each neighbouring (-2)-chain: a possibly empty run of the
+  chain ending at r - 1 and one of the chain starting at r + 1, every
+  multiplicity one (both arms admissible about the (-1)).  It counts one, and
+  every other class with c_1 = 1 counts zero.
 
 With these counts the product of a primitive pair is
 
@@ -36,7 +38,7 @@ from typing import Sequence
 from .disks import enumerate_admissible
 from .errors import IsP2, NotPrimitivePair, ParameterMismatch, WrongChern
 from .fan import Fan
-from .homology import chern_number, count_by_class, fiber_classes, profile, reduce_class
+from .homology import chern_number, fiber_classes, profile, reduce_class
 from .kahler import KahlerSpec
 from .laurent import QPoly, share_tuples
 
@@ -70,109 +72,121 @@ def primitive_pairs(fan: Fan) -> list[tuple[int, int]]:
     return out
 
 
-def _runs_from(chain, a: int):
-    """Contiguous all-ones runs inside the chain with a at one end."""
-    pos = chain.position(a)
-    n = len(chain)
-    runs = []
-    for hi in range(pos, n):
-        runs.append(tuple(chain.indices[pos : hi + 1]))
-    for lo in range(pos - 1, -1, -1):
-        runs.append(tuple(chain.indices[lo : pos + 1]))
-    return runs
+def _runs_from(chain: tuple[int, ...], a: int) -> list[tuple[int, ...]]:
+    """Contiguous runs of the chain (an index tuple) with ray a at one end."""
+    pos = chain.index(a)
+    return [chain[pos : hi + 1] for hi in range(pos, len(chain))] + [
+        chain[lo : pos + 1] for lo in range(pos - 1, -1, -1)
+    ]
 
 
-def c1_two_classes(fan: Fan) -> list[tuple[int, ...]]:
-    """Effective representatives of every c_1 = 2 class with point-GW one.
+def _two_reps(fan: Fan):
+    """Effective c_1 = 2 representatives in the two shapes of the module docstring.
 
     Read off the fibers f of ``fiber_classes`` and the counted disks of
-    ``enumerate_admissible``, in the two shapes of the module docstring.
+    ``enumerate_admissible``.
     """
-    fan.require_semi_fano("the curve class enumeration")
-    d = fan.d
     disks = enumerate_admissible(fan)
-    seen: dict[tuple, tuple[int, ...]] = {}
-
-    def record(rep):
-        assert chern_number(fan, rep) == 2
-        assert all(m <= d + 2 for m in rep)  # enumeration stays inside the bound
-        seen.setdefault(profile(fan, rep), tuple(rep))
-
     for (a, b), f in fiber_classes(fan):
         # one-chain shape: f + alpha for each disk beta_end + alpha counted at an end
         for disk in disks:
             if disk.i in (a, b):
-                record([m + x for m, x in zip(f, disk.alpha)])
+                yield tuple(m + x for m, x in zip(f, disk.alpha))
         # two-chain shape: unit runs hanging off both ends of the fiber
         # (opposite rays can never lie on one chain: its heads are collinear)
         chain_a, chain_b = fan.chain_through(a), fan.chain_through(b)
         if chain_a and chain_b and chain_a != chain_b:
             for run_a in _runs_from(chain_a, a):
                 for run_b in _runs_from(chain_b, b):
-                    rep = list(f)
-                    for k in run_a + run_b:
-                        rep[k - 1] += 1
-                    record(rep)
-    return sorted(seen.values())
+                    run = run_a + run_b
+                    yield tuple(m + (k in run) for k, m in enumerate(f, start=1))
+
+
+def _one_reps(fan: Fan):
+    """Effective c_1 = 1 representatives: each (-1)-ray r with unit runs beside it.
+
+    The chain through r - 1 ends there and the one through r + 1 starts
+    there (cyclic indices), so ``_runs_from`` lists exactly the runs that
+    reach D_r.  The two chains differ: one chain through both would leave D_r
+    the only ray off it, and no complete fan has that.
+    """
+    d = fan.d
+    for r in range(1, d + 1):
+        if fan.self_intersection(r) != -1:
+            continue
+        prev, nxt = (r - 2) % d + 1, r % d + 1
+        left, right = fan.chain_through(prev), fan.chain_through(nxt)
+        for run_l in [()] + (_runs_from(left, prev) if left else []):
+            for run_r in [()] + (_runs_from(right, nxt) if right else []):
+                run = run_l + (r,) + run_r
+                yield tuple(int(k in run) for k in range(1, d + 1))
+
+
+def _classes(fan: Fan) -> dict[int, tuple]:
+    """The classes with GW one, keyed by c_1 (2 and 1); found once per fan.
+
+    Each value holds (rep, profile, canonical rep) per class, sorted by rep;
+    the first representative enumerated stands for its class.  Raises
+    NotSemiFano off the semi-Fano range.
+    """
+    if fan._curves is None:
+        fan.require_semi_fano("the curve class enumeration")
+        curves = {}
+        for c1, reps in ((2, _two_reps(fan)), (1, _one_reps(fan))):
+            seen: dict[tuple, tuple[int, ...]] = {}
+            for rep in reps:
+                assert chern_number(fan, rep) == c1
+                assert all(m <= fan.d + 2 for m in rep)  # enumeration stays inside the bound
+                seen.setdefault(profile(fan, rep), rep)
+            curves[c1] = tuple(sorted((r, p, reduce_class(fan, r)) for p, r in seen.items()))
+        object.__setattr__(fan, "_curves", curves)
+    return fan._curves
+
+
+def c1_two_classes(fan: Fan) -> list[tuple[int, ...]]:
+    """Effective representatives of every c_1 = 2 class with point-GW one, sorted."""
+    return [rep for rep, _, _ in _classes(fan)[2]]
 
 
 def c1_one_classes(fan: Fan) -> list[tuple[int, ...]]:
-    """Effective representatives of every c_1 = 1 class with unconstrained GW one."""
-    fan.require_semi_fano("the curve class enumeration")
-    d = fan.d
-    s = fan.self_intersections()
-    seen: dict[tuple, tuple[int, ...]] = {}
-    for start in range(d):
-        for length in range(1, d):
-            idx = [(start + off) % d for off in range(length)]
-            vals = [s[k] for k in idx]
-            if vals.count(-1) != 1 or any(v not in (-1, -2) for v in vals):
-                continue
-            rep = [0] * d
-            for k in idx:
-                rep[k] = 1
-            assert chern_number(fan, rep) == 1
-            seen.setdefault(profile(fan, rep), tuple(rep))
-    return sorted(seen.values())
+    """Effective representatives of every c_1 = 1 class with unconstrained GW one, sorted."""
+    return [rep for rep, _, _ in _classes(fan)[1]]
 
 
-def _sphere_count(fan: Fan, alpha: Sequence[int], c1: int, classes) -> int:
-    """1 when alpha has the class of one of ``classes(fan)``, else 0.
+def _sphere_count(fan: Fan, alpha: Sequence[int], c1: int) -> int:
+    """1 when alpha has the pairing profile of a class in ``_classes(fan)[c1]``, else 0.
 
     Raises WrongChern unless c_1(alpha) = c1.
     """
     if chern_number(fan, alpha) != c1:
         raise WrongChern(f"c_1(alpha) = {chern_number(fan, alpha)}, expected {c1}")
-    return count_by_class(fan, alpha, classes(fan))
+    target = profile(fan, alpha)
+    return 1 if any(prof == target for _, prof, _ in _classes(fan)[c1]) else 0
 
 
 def gw_c1_2_point(fan: Fan, alpha: Sequence[int]) -> int:
     """One-point genus zero GW invariant of a class with c_1 = 2 (0 or 1)."""
-    return _sphere_count(fan, alpha, 2, c1_two_classes)
+    return _sphere_count(fan, alpha, 2)
 
 
 def gw_c1_1(fan: Fan, alpha: Sequence[int]) -> int:
     """Unconstrained genus zero GW invariant of a class with c_1 = 1 (0 or 1)."""
-    return _sphere_count(fan, alpha, 1, c1_one_classes)
+    return _sphere_count(fan, alpha, 1)
 
 
-def _curve_data(fan: Fan, spec: KahlerSpec):
+def _curve_data(fan: Fan, spec: KahlerSpec) -> dict[int, list]:
     """What every product D_i * D_j of one surface shares.
 
-    Returns (two, one), a table of (profile, rep, q^area) for the c_1 = 2 and
-    for the c_1 = 1 classes, with rep the canonical representative of the
-    class.  All products built from it share the exponent tuples of these
+    Keyed by c_1 like ``_classes``: (profile, rep, q^area) for each class,
+    with rep the canonical representative; the q-monomials are built per
+    spec.  All products built from it share the exponent tuples of these
     q-monomials.
     """
-
-    def table(reps):
-        return [
-            (profile(fan, rep), reduce_class(fan, rep),
-             QPoly.monomial(spec.k, spec.curve_area(rep)))
-            for rep in reps
-        ]
-
-    return table(c1_two_classes(fan)), table(c1_one_classes(fan))
+    k = spec.k
+    return {
+        c1: [(p, canon, QPoly.monomial(k, spec.curve_area(rep))) for rep, p, canon in rows]
+        for c1, rows in _classes(fan).items()
+    }
 
 
 def _check_supported(fan: Fan, spec: KahlerSpec) -> None:
@@ -186,15 +200,14 @@ def _product(fan: Fan, k: int, data, i: int, j: int) -> QHElement:
     The H^2 part sums (D_i.a)(D_j.a) q^a [a] over the c_1 = 1 classes; the
     representatives [a] are canonical, so the sum is too.
     """
-    two, one = data
     zero = QPoly.zero(k)
     scalar = zero
-    for prof, _, qa in two:
+    for prof, _, qa in data[2]:
         c = prof[i - 1] * prof[j - 1]
         if c:
             scalar = scalar + qa.scale(c)
     divisor = [zero] * fan.d
-    for prof, rep, qa in one:
+    for prof, rep, qa in data[1]:
         c = prof[i - 1] * prof[j - 1]
         if not c:
             continue

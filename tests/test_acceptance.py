@@ -143,8 +143,7 @@ def test_criterion_7_property_suites(bundled):
             ok = ok and generated == admissible
     # (b) midpoint relation on every (-2)-chain of every bundled fan
     for fan, _ in bundled.values():
-        for chain in fan.minus_two_chains():
-            idx = chain.indices
+        for idx in fan.minus_two_chains():
             for j in range(len(idx)):
                 prev = fan.ray(idx[j] - 1) if j == 0 else fan.ray(idx[j - 1])
                 nxt = fan.ray(idx[j] + 1) if j == len(idx) - 1 else fan.ray(idx[j + 1])

@@ -100,6 +100,21 @@ def test_cli_bulk(capsys):
     assert (rc, out, err) == (2, "", "error: bulk divisor class must be integral\n")
 
 
+def test_cli_negative_option_values(capsys):
+    # "--opt -1/2" reads as "--opt=-1/2" for every option taking numbers
+    for argv in (
+        ["superpotential", "X1", "--bulk-divisor", "-1,0,0,1"],
+        ["superpotential", "X1", "--bulk-constant", "-1/2"],
+        ["superpotential", "X1", "--bulk-divisor", "-1,0,0,1", "--bulk-constant", "-0.5"],
+        ["verify", "X1", "--q", "-1/3,1/5"],
+    ):
+        spaced = run(capsys, *argv)
+        joined = run(capsys, *argv[:-2], "=".join(argv[-2:]))
+        assert spaced == joined, argv
+        assert spaced[0] == (2 if argv[0] == "verify" else 0), argv
+    assert " + -1/2 + " in run(capsys, "superpotential", "X1", "--bulk-constant", "-1/2")[1]
+
+
 def test_cli_psi(capsys):
     rc, out, _ = run(capsys, "psi", "X3")
     assert rc == 0

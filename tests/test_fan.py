@@ -98,23 +98,24 @@ def test_is_semi_fano():
 
 def test_minus_two_chains_examples():
     x3 = Fan(X3_RAYS)
-    assert [c.indices for c in x3.minus_two_chains()] == [(1,), (4, 5)]
-    assert Fan(P2_RAYS).minus_two_chains() == []
-    assert [c.indices for c in Fan(X1_RAYS).minus_two_chains()] == [(4,)]
+    assert x3.minus_two_chains() == ((1,), (4, 5))
+    assert x3.minus_two_chains() is x3.minus_two_chains()  # stored, not copied
+    assert x3.chain_through(5) == (4, 5) and x3.chain_through(2) is None
+    assert Fan(P2_RAYS).minus_two_chains() == ()
+    assert Fan(X1_RAYS).minus_two_chains() == ((4,),)
 
 
 def test_minus_two_chains_wrap_around():
-    # rotate X3 so its (4,5)-chain crosses the index seam
-    rays = X3_RAYS[3:] + X3_RAYS[:3]
-    chains = [c.indices for c in Fan(rays).minus_two_chains()]
-    assert sorted(chains) == [(1, 2), (4,)]
+    # rotate X3 so its (4,5)-chain starts the list, then so it crosses the
+    # index seam, where the tuple keeps the cyclic order (6, 1)
+    assert Fan(X3_RAYS[3:] + X3_RAYS[:3]).minus_two_chains() == ((1, 2), (4,))
+    assert Fan(X3_RAYS[4:] + X3_RAYS[:4]).minus_two_chains() == ((3,), (6, 1))
 
 
 def test_minus_two_chain_geometry(bundled):
     # midpoint relation and collinear heads along every chain
     for name, (fan, _) in bundled.items():
-        for chain in fan.minus_two_chains():
-            idx = chain.indices
+        for idx in fan.minus_two_chains():
             for j in range(1, len(idx) - 1):
                 a, v, b = fan.ray(idx[j - 1]), fan.ray(idx[j]), fan.ray(idx[j + 1])
                 assert (a[0] + b[0], a[1] + b[1]) == (2 * v[0], 2 * v[1]), name

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from presentations import GENERATORS, presentation
 from sftoric import quantum
 from sftoric.errors import IsP2, NotPrimitivePair, NotSemiFano, ParameterMismatch, WrongChern
-from sftoric.fan import Fan, P2_RAYS
+from sftoric.fan import Fan, P2_RAYS, classify_semi_fano
 from sftoric.homology import (
     chern_number,
     classes_equal,
@@ -33,6 +33,7 @@ from sftoric.quantum import (
 )
 
 from dual_basis import dual_basis
+from window_scan import window_scan
 
 
 def qm(k, *exps_list):
@@ -126,6 +127,19 @@ def test_sphere_counts_depend_on_the_class_only(bundled):
                     assert gw(fan, shifted) == n, (name, alpha, shifted)
 
 
+def test_c1_one_classes_match_the_window_scan():
+    # every rotation and reflection of every semi-Fano class with up to nine
+    # rays, so (-2)-chains meet the index seam on either side of a (-1)-ray
+    fans = []
+    for fan in classify_semi_fano(9):
+        reflected = tuple((v[1], v[0]) for v in reversed(fan.rays))
+        for rays in (fan.rays, reflected):
+            fans.extend(Fan(rays[r:] + rays[:r]) for r in range(fan.d))
+    assert len(fans) == 192
+    for fan in fans:
+        assert c1_one_classes(fan) == window_scan(fan), fan
+
+
 def test_enumerated_classes_are_bounded(bundled):
     for name, (fan, _) in bundled.items():
         for rep in c1_two_classes(fan) + c1_one_classes(fan):
@@ -158,6 +172,23 @@ def test_quantum_product_builds_only_its_pair(bundled, monkeypatch):
     monkeypatch.setattr(quantum, "quantum_sr_relations", refuse)
     fan, spec = bundled["X3"]
     assert quantum_product(fan, spec, 2, 4) == x3_worked_example(spec.k)
+
+
+def test_curve_classes_are_found_once_per_fan(bundled, monkeypatch):
+    # the first call stores the classes on the fan; later products and counts
+    # read them there and never enumerate again
+    fan, spec = bundled["X3"]
+    expected = quantum_product(fan, spec, 2, 4)
+
+    def refuse(fan):
+        raise AssertionError("curve classes enumerated again")
+
+    monkeypatch.setattr(quantum, "_two_reps", refuse)
+    monkeypatch.setattr(quantum, "_one_reps", refuse)
+    assert quantum_product(fan, spec, 2, 4) == expected
+    assert dict(quantum_sr_relations(fan, spec))[(2, 4)] == expected
+    assert gw_c1_2_point(fan, (0, 0, 1, 1, 1, 0)) == 1
+    assert gw_c1_1(fan, (1, 0, 0, 1, 1, 1)) == 1
 
 
 def test_quantum_product_f0(bundled):
