@@ -170,11 +170,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # argparse takes a value such as "-1/2" for an option string: pass "--q=-1/2"
+    # argparse takes a value such as "-1/2" for an option string: pass
+    # "--q=-1/2", also after a unique prefix of the name, as argparse accepts
     numeric = ("--bulk-divisor", "--bulk-constant", "--q")
     for k in range(len(argv) - 1, 0, -1):
-        if argv[k - 1] in numeric and re.match(r"-[\d./]", argv[k]):
-            argv[k - 1 : k + 1] = [argv[k - 1] + "=" + argv[k]]
+        opt = argv[k - 1]
+        unique = opt.startswith("--") and sum(n.startswith(opt) for n in numeric) == 1
+        if unique and re.match(r"-[\d./]", argv[k]):
+            argv[k - 1 : k + 1] = [opt + "=" + argv[k]]
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

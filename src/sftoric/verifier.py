@@ -2,9 +2,9 @@
 
 The map psi sends a divisor class D to sum_b (D.b) Z_b over the admissible
 Maslov index two classes (the open divisor equation), and the identity
-psi(sum_i v_i^j D_i) = z_j dW/dz_j is checked symbolically in the q_l.  The
-remaining two checks run at one exact rational q-sample in the open Kahler
-cone, each with evidence the package checks itself:
+psi(sum_i v_i^j D_i) = z_j dW/dz_j is checked symbolically in the q_l, as is
+the dimension.  Membership runs at one exact rational q-sample in the open
+Kahler cone.  Each check comes with evidence the package checks itself:
 
 * Membership.  Every quantum Stanley-Reisner relation
   p = psi(D_i) psi(D_j) - psi(D_i * D_j) must lie in the Jacobian ideal
@@ -14,19 +14,22 @@ cone, each with evidence the package checks itself:
   one exact elimination for all relations of a surface, and each solution
   is accepted only after Laurent arithmetic re-checks it.
 * Dimension.  By Kouchnirenko's theorem (Polyedres de Newton et nombres de
-  Milnor, 1976) dim Jac(W) = 2 area(Delta) when W is nondegenerate on every
-  edge of Delta, i.e. every edge polynomial f has gcd(f, f') = 1; for a
-  smooth fan 2 area(Delta) = d, the rank of H*(X).
+  Milnor, 1976) dim Jac(W) = 2 area(Delta), which is d = rank H*(X) for a
+  smooth fan, when W is nondegenerate on every edge of Delta.  Between
+  consecutive corners a < b (the rays with D^2 != -2) the symbolic W must
+  have the edge polynomial q^{C_a} prod_{j=1}^{b-a} (1 + m_j x), with
+  m_1 = q^{C_{a+1} - C_a} and m_{j+1} = m_j q^{L_{a+j}} (C_i the facet
+  constants, L_i the edge lengths).  Its end coefficients are q-monomials,
+  and consecutive roots differ by a factor q^{L_r}, L_r the area of a
+  (-2)-curve, which is below one on the whole open Kahler cone.  So W is
+  nondegenerate at every point of the cone, not only at the sample.
 
-The two checks are complete, so they are the whole decision procedure.  In
-the open Kahler cone W is nondegenerate on every edge: each long-edge
-discriminant is a q-monomial times a product of factors (q^A - 1)^2, A a
-sum of consecutive (-2)-curve areas.  For such W
-the Newton filtration of the Jacobian ring gives
+For such W the Newton filtration of the Jacobian ring gives
 J cap L(2 Delta) = L(Delta) g1 + L(Delta) g2, where L(P) is the span of the
 monomials on the lattice points of P; a relation lies in L(2 Delta), so it
-is in J exactly when it has a certificate.  A relation without one fails,
-and a degenerate edge leaves the dimension undefined.  The tests compare
+is in J exactly when it has a certificate.  The two checks are therefore
+the whole decision procedure: a relation without a certificate fails, and a
+W off the edge identity leaves the dimension undefined.  The tests compare
 both checks against a Groebner-basis reference.
 """
 
@@ -38,7 +41,7 @@ from math import isqrt
 from typing import Sequence
 
 from .errors import IsP2, OutOfRange, ParameterMismatch
-from .fan import Fan, det
+from .fan import Fan
 from .homology import linear_relations, solve_linear, unit_vector
 from .kahler import KahlerSpec
 from .laurent import LaurentPoly, QPoly
@@ -88,10 +91,6 @@ def verify_linear_identity(spec: KahlerSpec) -> bool:
 # --- certificates at a q-sample; every polynomial here is specialized (k = 0) ---
 
 
-def _value(qp: QPoly) -> Fraction:
-    return qp.specialize(())
-
-
 def cofactor_certificates(
     fan: Fan, ideal: tuple[LaurentPoly, LaurentPoly], polys: Sequence[LaurentPoly]
 ) -> list[tuple[LaurentPoly, LaurentPoly] | None]:
@@ -114,7 +113,7 @@ def cofactor_certificates(
         out = [[0] * len(ps) for _ in rows]
         for col, p in enumerate(ps):
             for m, c in p.terms.items():
-                out[rows[m]][col] = _value(c)
+                out[rows[m]][col] = c.specialize(())
         return out
 
     _, solutions = solve_linear(dense(columns), dense(polys))
@@ -130,42 +129,27 @@ def cofactor_certificates(
     return out
 
 
-def _squarefree(f: list[Fraction]) -> bool:
-    """gcd(f, f') = 1 for f = sum_t f[t] x^t with f[-1] != 0 (Euclid over Q)."""
-    a, b = f, [t * c for t, c in enumerate(f)][1:]
-    while b:
-        a, b = b, list(a)
-        while len(b) >= len(a):
-            lead = b[-1] / a[-1]
-            shift = len(b) - len(a)
-            for i, c in enumerate(a):
-                b[shift + i] -= lead * c
-            while b and not b[-1]:
-                b.pop()
-    return len(a) == 1
+def edge_factorisation(spec: KahlerSpec, w: LaurentPoly) -> int | None:
+    """dim Jac(W) = 2 area(Delta) = d on the whole open Kahler cone, or None.
 
-
-def newton_dimension(fan: Fan, w: LaurentPoly) -> int | None:
-    """dim Jac(W) = 2 area(Delta) by Kouchnirenko's theorem, or None.
-
-    W must be supported on the lattice points of Delta = conv(rays), so that
-    Delta is its Newton polygon with the origin inside.  The edges of Delta
-    run between consecutive rays with D^2 != -2 (a (-2)-ray is the midpoint
-    of its neighbours), and the edge polynomial sum_t c_t x^t takes c_t from
-    the t-th ray along the edge.  None when an end coefficient vanishes or
-    an edge polynomial has a repeated root (W is degenerate there).
+    The symbolic w must be supported on the origin and the rays, and each of
+    its edge polynomials must be the product in the module docstring.
     """
+    fan, k = spec.fan, spec.k
     fan.require_semi_fano("the Newton polygon argument")
-    terms = w.terms
-    if not set(terms) <= {(0, 0), *fan.rays}:
+    if not set(w.terms) <= {(0, 0), *fan.rays}:
         return None
-    zero = QPoly.zero(w.k)
+    zero = QPoly.zero(k)
     corners = [i for i in range(1, fan.d + 1) if fan.self_intersection(i) != -2]
     for a, b in zip(corners, corners[1:] + [corners[0] + fan.d]):
-        f = [_value(terms.get(fan.ray(i), zero)) for i in range(a, b + 1)]
-        if not (f[0] and f[-1] and _squarefree(f)):
+        m = [y - x for x, y in zip(spec.disk_coefficient(a), spec.disk_coefficient(a + 1))]
+        f = [QPoly.monomial(k, spec.disk_coefficient(a))]
+        for r in range(a + 1, b + 1):
+            f = [lo + QPoly.monomial(k, m) * hi for lo, hi in zip(f + [zero], [zero] + f)]
+            m = [x + y for x, y in zip(m, spec.edge_length(r))]
+        if f != [w.coefficient(fan.ray(i)) for i in range(a, b + 1)]:
             return None
-    return sum(det(fan.ray(i), fan.ray(i + 1)) for i in range(1, fan.d + 1))
+    return fan.d
 
 
 # --- the end-to-end report ---
@@ -242,14 +226,14 @@ def off_cone_edge(spec: KahlerSpec, qvals: Sequence[Fraction]) -> int | None:
     return None
 
 
-def _w_on_cone(spec: KahlerSpec, qvals: Sequence) -> LaurentPoly:
+def _w_on_cone(spec: KahlerSpec, w: LaurentPoly, qvals: Sequence) -> LaurentPoly:
     """W at exact rational q values, which must lie in the open Kahler cone.
 
     specialize_q rejects a wrong count or a value outside (0, 1); a sample
     off the cone raises OutOfRange naming the first edge whose q-monomial
     is >= 1.
     """
-    w_at = superpotential(spec).w.specialize_q(qvals)
+    w_at = w.specialize_q(qvals)
     edge = off_cone_edge(spec, qvals)
     if edge is not None:
         raise OutOfRange(
@@ -261,13 +245,13 @@ def _w_on_cone(spec: KahlerSpec, qvals: Sequence) -> LaurentPoly:
 def jac_dimension(spec: KahlerSpec, qvals: Sequence) -> int | None:
     """dim of the Laurent Jacobian ring at exact rational q values.
 
-    2 area(Delta) by Kouchnirenko's theorem, or None when W is degenerate on
-    an edge.  That does not happen inside the open Kahler cone, the only
-    place the sample may lie (else OutOfRange, naming the edge): every
-    long-edge discriminant of W is a q-monomial times a product of factors
-    (q^A - 1)^2, with A a sum of consecutive (-2)-curve areas.
+    The sample must lie in the open Kahler cone (else OutOfRange, naming the
+    edge).  The value is ``edge_factorisation`` of the symbolic W, which
+    holds on the whole open cone and so at this sample.
     """
-    return newton_dimension(spec.fan, _w_on_cone(spec, qvals))
+    w = superpotential(spec).w
+    _w_on_cone(spec, w, qvals)
+    return edge_factorisation(spec, w)
 
 
 def verify_homomorphism(
@@ -280,8 +264,8 @@ def verify_homomorphism(
     KahlerSpec certified every edge length L_i . t >= 1 there, so each edge
     q-monomial is 2^(-L_i . t) <= 1/2 and the sample lies in the cone.
     Explicit qvals off the cone raise OutOfRange, naming the first edge
-    whose q-monomial is >= 1.  A relation without a certificate fails, and
-    a degenerate edge leaves the dimension undefined.
+    whose q-monomial is >= 1.  Membership is certified at the sample, the
+    dimension on the whole cone by ``edge_factorisation`` of the symbolic W.
     """
     fan = spec.fan
     if fan.d == 3:
@@ -293,7 +277,8 @@ def verify_homomorphism(
             sample = tuple(Fraction(1, 2**t) for t in spec.sample_point)
     else:
         sample = tuple(Fraction(v) for v in qvals)
-    w_at = _w_on_cone(spec, sample)
+    w = superpotential(spec).w
+    w_at = _w_on_cone(spec, w, sample)
     pairs, polys = [], []
     for (i, j), el in quantum_sr_relations(fan, spec):
         lhs = psi_divisor(spec, unit_vector(fan.d, i))
@@ -307,7 +292,7 @@ def verify_homomorphism(
         q_sample=sample,
         linear_identity=linear_ok,
         relations=[(pr, cert is not None) for pr, cert in zip(pairs, certs)],
-        dimension=newton_dimension(fan, w_at),
+        dimension=edge_factorisation(spec, w),
         expected_dimension=fan.d,
         samples_tried=[sample],
     )

@@ -115,6 +115,22 @@ def test_cli_negative_option_values(capsys):
     assert " + -1/2 + " in run(capsys, "superpotential", "X1", "--bulk-constant", "-1/2")[1]
 
 
+def test_cli_negative_values_after_abbreviated_options(capsys):
+    # argparse accepts a unique prefix of an option name, so a negative value
+    # after one reads as it does after the full name with "="
+    for spaced, joined in (
+        (["--bulk-c", "-1/2"], ["--bulk-constant=-1/2"]),
+        (["--bulk-d", "-1,0,0,1"], ["--bulk-divisor=-1,0,0,1"]),
+    ):
+        result = run(capsys, "superpotential", "X1", *spaced)
+        assert result == run(capsys, "superpotential", "X1", *joined), spaced
+        assert result[0] == 0 and result[1], spaced
+    # "--bulk" is a prefix of both bulk options, which argparse refuses
+    with pytest.raises(SystemExit) as exc:
+        main(["superpotential", "X1", "--bulk", "-1"])
+    assert exc.value.code == 2
+
+
 def test_cli_psi(capsys):
     rc, out, _ = run(capsys, "psi", "X3")
     assert rc == 0

@@ -19,13 +19,14 @@ from groebner_oracle import (
     groebner_membership,
     normal_forms,
 )
+from kouchnirenko import newton_dimension
 from presentations import GENERATORS, presentation
 from sftoric import cli
 from sftoric.errors import DegenerateEdge, InvalidKahlerData, IsP2, OutOfRange, ParameterMismatch
 from sftoric.homology import linear_relations, solve_linear, unit_vector
 from sftoric.kahler import KahlerSpec
 from sftoric.laurent import LaurentPoly, QPoly
-from sftoric.potential import superpotential, z_beta
+from sftoric.potential import Superpotential, superpotential, z_beta
 from sftoric.disks import DiskClass
 from sftoric.quantum import QHElement, quantum_product
 from sftoric.surfaces import BUNDLED, load_bundled
@@ -33,9 +34,9 @@ from sftoric.verifier import (
     VerificationReport,
     cofactor_certificates,
     default_q_sample,
+    edge_factorisation,
     jac_dimension,
     jacobian_ideal,
-    newton_dimension,
     off_cone_edge,
     psi_divisor,
     psi_qh,
@@ -241,6 +242,41 @@ def test_newton_dimension_matches_groebner_reference(name):
         assert jac_dimension(spec, sample) == reference, M
 
 
+@pytest.mark.parametrize("name", BUNDLED)
+def test_edge_polynomials_factor_in_every_presentation(name):
+    # on every GL(2, Z) image, cyclic relabelling and translated polytope the
+    # symbolic W has the closed-form product on each edge, and jac_dimension
+    # agrees with the Kouchnirenko reference at the default sample
+    k = load_bundled(name)[1].k
+    U = (tuple(range(1, k + 1)), (-1,) * k)
+    for M in GENERATORS.values():
+        for shift in (0, 1, 3):
+            spec = presentation(name, M, shift, U)
+            w = superpotential(spec).w
+            assert edge_factorisation(spec, w) == spec.fan.d, (M, shift)
+            sample = default_q_sample(k)
+            reference = newton_dimension(spec.fan, w.specialize_q(sample))
+            assert jac_dimension(spec, sample) == reference == spec.fan.d, (M, shift)
+
+
+def test_w_off_the_edge_identity_has_no_dimension(bundled, monkeypatch):
+    # one q-monomial more on the (-2)-ray (0,-1) of X1 breaks the product on
+    # its edge: the dimension is undefined and the report fails on that line
+    import sftoric.verifier as verifier
+
+    fan, spec = bundled["X1"]
+    assert fan.self_intersection(4) == -2
+    true = superpotential(spec)
+    extra = LaurentPoly.monomial(spec.k, fan.ray(4), QPoly.monomial(spec.k, (1, 1)))
+    tampered = Superpotential(true.w + extra, true.classes)
+    assert edge_factorisation(spec, true.w) == 4
+    assert edge_factorisation(spec, tampered.w) is None
+    monkeypatch.setattr(verifier, "superpotential", lambda s: tampered)
+    report = verify_homomorphism(spec)
+    assert report.dimension is None and not report.passed
+    assert "jacobian-dimension undefined expected 4 FAIL" in report.to_text()
+
+
 def test_degenerate_edge_leaves_the_dimension_undefined(bundled):
     # on X1 the edge through the (-2)-ray (0,-1) carries 1 + c x + x^2,
     # which has a double root for c = 2; two critical points then escape to
@@ -342,10 +378,29 @@ def test_every_accepted_kahler_class_verifies(name, k, entries):
     # at its certified point) lies in the cone and the verification passes
     fan = load_bundled(name)[0]
     rows = [entries[3 * i : 3 * i + k] for i in range(fan.d)]
+    _assert_accepted_rows_verify(fan, k, rows, name)
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(
+    name=st.sampled_from(("dP2", "dP3", "X2", "X3", "X4", "X5")),
+    entries=st.lists(st.integers(-2, 2), min_size=24, max_size=24),
+)
+def test_every_accepted_kahler_class_verifies_on_five_and_six_rays(name, entries):
+    # generic rows on five or six rays are nearly always rejected, so the
+    # rows are the bundled ones moved by entries in [-2, 2], with k <= 4
+    fan, spec = load_bundled(name)
+    steps = [entries[4 * i : 4 * i + spec.k] for i in range(fan.d)]
+    rows = [[c + e for c, e in zip(row, step)] for row, step in zip(spec.rows, steps)]
+    _assert_accepted_rows_verify(fan, spec.k, rows, name)
+
+
+def _assert_accepted_rows_verify(fan, k, rows, name):
     try:
         spec = KahlerSpec(fan, k, rows, name)
     except (InvalidKahlerData, DegenerateEdge):
         assume(False)
+    assert edge_factorisation(spec, superpotential(spec).w) == fan.d
     report = verify_homomorphism(spec)
     fallback = tuple(Fraction(1, 2**t) for t in spec.sample_point)
     assert report.q_sample in (default_q_sample(k), fallback)
