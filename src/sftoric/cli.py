@@ -23,6 +23,17 @@ from .surfaces import BUNDLED, BUNDLED_NON_FANO, load_bundled, parse_surface_fil
 from .verifier import psi_divisor, verify_homomorphism, verify_linear_identity
 
 
+# an integer, a/b or a plain decimal; Fraction would also expand exponents
+_RATIONAL = re.compile(r"\s*[+-]?(\d+(/\d+)?|\d*\.\d+|\d+\.)\s*")
+
+
+def _rational(text: str) -> Fraction:
+    """The value of an option such as --q; ValueError (exit 2) off the forms above."""
+    if not _RATIONAL.fullmatch(text):
+        raise ValueError(f"{text.strip()!r} is not an integer, a/b or a plain decimal")
+    return Fraction(text)
+
+
 def _load(path: str):
     if not os.path.exists(path) and path in BUNDLED:
         return load_bundled(path)
@@ -58,16 +69,17 @@ def cmd_check(args) -> int:
 
 
 def cmd_superpotential(args) -> int:
+    D = a = None
+    if args.bulk_divisor is not None:
+        D = tuple(_rational(x) for x in args.bulk_divisor.split(","))
+    if args.bulk_constant is not None:
+        a = _rational(args.bulk_constant)
     fan, spec = _load(args.file)
     if args.hori_vafa:
         print(canonical_string(hori_vafa(spec)))
         return 0
-    if args.bulk_divisor is not None or args.bulk_constant is not None:
-        D = None
-        if args.bulk_divisor is not None:
-            D = tuple(Fraction(x) for x in args.bulk_divisor.split(","))
-        a = Fraction(args.bulk_constant) if args.bulk_constant is not None else 0
-        print(bulk_superpotential(spec, a, D).canonical_string())
+    if D is not None or a is not None:
+        print(bulk_superpotential(spec, a or 0, D).canonical_string())
         return 0
     print(canonical_string(superpotential(spec).w))
     return 0
@@ -88,6 +100,7 @@ def cmd_qh(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    qvals = [_rational(v) for v in args.q.split(",")] if args.q else None
     fan, spec = _load(args.file)
     if fan.d == 3:
         ok = verify_linear_identity(spec)
@@ -97,9 +110,6 @@ def cmd_verify(args) -> int:
         print("its quantum cohomology presentation is out of scope here")
         print(f"RESULT {'PASS' if ok else 'FAIL'}")
         return 0 if ok else 1
-    qvals = None
-    if args.q:
-        qvals = [Fraction(v) for v in args.q.split(",")]
     report = verify_homomorphism(spec, qvals)
     print(report.to_text())
     return 0 if report.passed else 1

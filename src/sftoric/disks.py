@@ -25,7 +25,7 @@ from itertools import product
 from typing import Iterator
 
 from .errors import ParameterMismatch, WrongMaslov
-from .fan import Fan
+from .fan import Fan, _per_fan
 from .homology import chern_number, profile
 
 
@@ -106,8 +106,13 @@ def enumerate_admissible(fan: Fan) -> list[DiskClass]:
     """All Maslov index two classes with n_b = 1, in a deterministic order.
 
     Sorted by basic index, then total sphere multiplicity, then the
-    multiplicity vector itself.  Raises NotSemiFano off the semi-Fano range.
+    multiplicity vector; found once per fan.  Raises NotSemiFano off the semi-Fano range.
     """
+    return list(_admissible(fan))
+
+
+@_per_fan
+def _admissible(fan: Fan) -> tuple[DiskClass, ...]:
     fan.require_semi_fano("the disk count formula")
     out = [DiskClass.basic(fan, i) for i in range(1, fan.d + 1)]
     for chain in fan.minus_two_chains():
@@ -117,5 +122,4 @@ def enumerate_admissible(fan: Fan) -> list[DiskClass]:
                 for k, v in seq.items():
                     alpha[k - 1] = v
                 out.append(DiskClass(i, tuple(alpha)))
-    out.sort(key=lambda b: (b.i, b.total_multiplicity(), b.alpha))
-    return out
+    return tuple(sorted(out, key=lambda b: (b.i, b.total_multiplicity(), b.alpha)))

@@ -9,6 +9,7 @@ cyclic order along the chain.
 
 from __future__ import annotations
 
+from functools import wraps
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -28,11 +29,21 @@ def det(a: Sequence[int], b: Sequence[int]) -> int:
     return a[0] * b[1] - a[1] * b[0]
 
 
+def _per_fan(build):
+    """Run build(fan), a function of the rays alone, once per fan; a raise stores nothing."""
+    @wraps(build)
+    def once(fan):
+        if build not in fan._memo:
+            fan._memo[build] = build(fan)
+        return fan._memo[build]
+    return once
+
+
 class Fan:
     """A complete smooth 2D fan; immutable after validation."""
 
-    # _canon and _chains are filled here on first use, _curves by quantum
-    __slots__ = ("rays", "_canon", "_chains", "_curves")
+    # _memo: what _per_fan built from the rays (canonical form, chains, disk and curve classes)
+    __slots__ = ("rays", "_memo")
 
     def __init__(self, rays: Iterable[Sequence[int]]):
         rays = tuple((int(v[0]), int(v[1])) for v in rays)
@@ -59,9 +70,7 @@ class Fan:
         if winding != 1:
             raise NotComplete(f"ray angles wrap {winding} times, expected once")
         object.__setattr__(self, "rays", rays)
-        object.__setattr__(self, "_canon", None)
-        object.__setattr__(self, "_chains", None)
-        object.__setattr__(self, "_curves", None)
+        object.__setattr__(self, "_memo", {})
 
     # Fan is conceptually frozen; block accidental mutation.
     def __setattr__(self, name, value):
@@ -98,14 +107,13 @@ class Fan:
         # -K is ample iff it is positive on every D_i, i.e. all D_i^2 >= -1
         return all(s >= -1 for s in self.self_intersections())
 
+    @_per_fan
     def minus_two_chains(self) -> tuple[tuple[int, ...], ...]:
         """Maximal cyclic runs of (-2)-divisors as index tuples, sorted by first index.
 
         Each tuple lists its rays in cyclic order along the chain.  Found once
         per fan, like ``canonical_form``.
         """
-        if self._chains is not None:
-            return self._chains
         s = self.self_intersections()
         d = self.d
         if all(x == -2 for x in s):
@@ -126,8 +134,7 @@ class Fan:
                 prev, mid, nxt = (self.ray(chain[j + t]) for t in (-1, 0, 1))
                 assert (prev[0] + nxt[0], prev[1] + nxt[1]) == (2 * mid[0], 2 * mid[1])
         chains.sort()  # the chains are disjoint, so this sorts by first index
-        object.__setattr__(self, "_chains", tuple(chains))
-        return self._chains
+        return tuple(chains)
 
     def chain_through(self, i: int) -> tuple[int, ...] | None:
         """The (-2)-chain containing ray i (1 <= i <= d), or None."""
@@ -140,6 +147,7 @@ class Fan:
         a, b = self.rays[k], self.rays[(k + 1) % d]
         return Fan(self.rays[: k + 1] + ((a[0] + b[0], a[1] + b[1]),) + self.rays[k + 1 :])
 
+    @_per_fan
     def canonical_form(self) -> tuple[Vec, ...]:
         """Normal form under lattice automorphisms, rotation and reflection.
 
@@ -147,8 +155,6 @@ class Fan:
         by the unique unimodular matrix, and keep the lexicographically
         smallest encoding.
         """
-        if self._canon is not None:
-            return self._canon
         best: tuple[Vec, ...] | None = None
         reflected = tuple((v[1], v[0]) for v in reversed(self.rays))
         for rays in (self.rays, reflected):
@@ -160,7 +166,6 @@ class Fan:
                 mapped = tuple((e * x - c * y, -b * x + a * y) for x, y in rot)
                 if best is None or mapped < best:
                     best = mapped
-        object.__setattr__(self, "_canon", best)
         return best
 
     def __eq__(self, other) -> bool:

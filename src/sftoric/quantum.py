@@ -37,7 +37,7 @@ from typing import Sequence
 
 from .disks import enumerate_admissible
 from .errors import IsP2, NotPrimitivePair, ParameterMismatch, WrongChern
-from .fan import Fan
+from .fan import Fan, _per_fan
 from .homology import chern_number, fiber_classes, profile, reduce_class
 from .kahler import KahlerSpec
 from .laurent import QPoly, share_tuples
@@ -122,6 +122,7 @@ def _one_reps(fan: Fan):
                 yield tuple(int(k in run) for k in range(1, d + 1))
 
 
+@_per_fan
 def _classes(fan: Fan) -> dict[int, tuple]:
     """The classes with GW one, keyed by c_1 (2 and 1); found once per fan.
 
@@ -129,18 +130,16 @@ def _classes(fan: Fan) -> dict[int, tuple]:
     the first representative enumerated stands for its class.  Raises
     NotSemiFano off the semi-Fano range.
     """
-    if fan._curves is None:
-        fan.require_semi_fano("the curve class enumeration")
-        curves = {}
-        for c1, reps in ((2, _two_reps(fan)), (1, _one_reps(fan))):
-            seen: dict[tuple, tuple[int, ...]] = {}
-            for rep in reps:
-                assert chern_number(fan, rep) == c1
-                assert all(m <= fan.d + 2 for m in rep)  # enumeration stays inside the bound
-                seen.setdefault(profile(fan, rep), rep)
-            curves[c1] = tuple(sorted((r, p, reduce_class(fan, r)) for p, r in seen.items()))
-        object.__setattr__(fan, "_curves", curves)
-    return fan._curves
+    fan.require_semi_fano("the curve class enumeration")
+    curves = {}
+    for c1, reps in ((2, _two_reps(fan)), (1, _one_reps(fan))):
+        seen: dict[tuple, tuple[int, ...]] = {}
+        for rep in reps:
+            assert chern_number(fan, rep) == c1
+            assert all(m <= fan.d + 2 for m in rep)  # enumeration stays inside the bound
+            seen.setdefault(profile(fan, rep), rep)
+        curves[c1] = tuple(sorted((r, p, reduce_class(fan, r)) for p, r in seen.items()))
+    return curves
 
 
 def c1_two_classes(fan: Fan) -> list[tuple[int, ...]]:

@@ -86,7 +86,7 @@ def parse_surface(text: str) -> tuple[Fan, KahlerSpec]:
 
 
 def parse_surface_file(path) -> tuple[Fan, KahlerSpec]:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # a leading BOM is not text
         return parse_surface(fh.read())
 
 

@@ -1,6 +1,9 @@
+import contextlib
+import io
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sftoric.cli import main
 from sftoric.errors import NotCounterclockwise, NotPrimitive, SurfaceSyntaxError
@@ -129,6 +132,60 @@ def test_cli_negative_values_after_abbreviated_options(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["superpotential", "X1", "--bulk", "-1"])
     assert exc.value.code == 2
+
+
+def test_cli_refuses_exponent_notation(capsys):
+    # Fraction expands "1e-100000" digit by digit: refused before any work
+    for argv, value in (
+        (["verify", "X1", "--q", "1/3,1E-5"], "1E-5"),
+        (["superpotential", "X1", "--bulk-constant", "1e3"], "1e3"),
+        (["superpotential", "X1", "--bulk-divisor", "0,0,0,1.5e0"], "1.5e0"),
+        (["superpotential", "X1", "--bulk-constant=-2e1"], "-2e1"),
+        (["verify", "X1", "--q", "1e-1000000,1/3"], "1e-1000000"),
+    ):
+        message = f"error: {value!r} is not an integer, a/b or a plain decimal\n"
+        assert run(capsys, *argv) == (2, "", message), argv
+
+
+NUMBER = r"[+-]?(\d{1,3}(/\d{1,3})?|\d{0,3}\.\d{1,3}|\d{1,3}\.)([eE][+-]?\d{1,7})?"
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(
+    option=st.sampled_from(["--q", "--bulk-constant", "--bulk-divisor"]),
+    values=st.lists(st.from_regex(NUMBER, fullmatch=True), min_size=1, max_size=4),
+)
+def test_cli_number_options_exit_cleanly(option, values):
+    # signed integers, fractions, decimals and exponents on X1: every run
+    # ends in an exit code, and only argparse's SystemExit may escape
+    command = "verify" if option == "--q" else "superpotential"
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main([command, "X1", option, ",".join(values)])
+        except SystemExit as exc:
+            rc = exc.code
+    assert rc in (0, 1, 2)
+    if any(c in "eE" for c in "".join(values)):
+        assert rc == 2 and "is not an integer, a/b or a plain decimal" in err.getvalue()
+
+
+def test_bom_and_crlf_files_read_as_the_bundled_text(tmp_path, capsys):
+    # a UTF-8 byte order mark and CRLF line ends change no output byte
+    for name in BUNDLED:
+        raw = bundled_text(name).encode("utf-8")
+        variants = {
+            "bom": b"\xef\xbb\xbf" + raw,
+            "crlf": raw.replace(b"\n", b"\r\n"),
+            "bom-crlf": b"\xef\xbb\xbf" + raw.replace(b"\n", b"\r\n"),
+        }
+        for command in ("check", "superpotential"):
+            expected = run(capsys, command, name)
+            assert expected[0] == 0, (name, command)
+            for label, data in variants.items():
+                path = tmp_path / f"{name}-{label}.fan"
+                path.write_bytes(data)
+                assert run(capsys, command, str(path)) == expected, (name, command, label)
 
 
 def test_cli_psi(capsys):

@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+from sftoric.disks import enumerate_admissible
 from sftoric.errors import (
     FullCycle,
     NotComplete,
@@ -59,9 +60,11 @@ def test_fan_copy_and_pickle_round_trip():
     for rays in (P2_RAYS, F0_RAYS, X3_RAYS):
         fan = Fan(rays)
         fan.canonical_form()
+        disks = enumerate_admissible(fan)  # a filled memo copies as an empty one
         for twin in (copy.copy(fan), copy.deepcopy(fan), pickle.loads(pickle.dumps(fan))):
             assert type(twin) is Fan and twin == fan and twin.rays == rays
             assert twin.canonical_form() == fan.canonical_form()
+            assert enumerate_admissible(twin) == disks
             with pytest.raises(AttributeError, match="Fan is immutable"):
                 twin.rays = ()
 

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from presentations import GENERATORS, presentation
-from sftoric import quantum
+from sftoric import disks, quantum
+from sftoric.disks import DiskClass, open_gw
 from sftoric.errors import IsP2, NotPrimitivePair, NotSemiFano, ParameterMismatch, WrongChern
 from sftoric.fan import Fan, P2_RAYS, classify_semi_fano
 from sftoric.homology import (
@@ -20,6 +21,7 @@ from sftoric.homology import (
 )
 from sftoric.kahler import KahlerSpec
 from sftoric.laurent import QPoly
+from sftoric.potential import superpotential
 from sftoric.surfaces import BUNDLED, load_bundled
 from sftoric.quantum import (
     QHElement,
@@ -189,6 +191,22 @@ def test_curve_classes_are_found_once_per_fan(bundled, monkeypatch):
     assert dict(quantum_sr_relations(fan, spec))[(2, 4)] == expected
     assert gw_c1_2_point(fan, (0, 0, 1, 1, 1, 0)) == 1
     assert gw_c1_1(fan, (1, 0, 0, 1, 1, 1)) == 1
+
+
+def test_disk_classes_are_found_once_per_fan(monkeypatch):
+    # after one W the admissible classes live on the fan: the potential, the
+    # counts and the curve classes built on them never enumerate again
+    fan, spec = load_bundled("X3")
+    w = superpotential(spec).w
+
+    def refuse(chain, i):
+        raise AssertionError("disk classes enumerated again")
+
+    monkeypatch.setattr(disks, "chain_sequences", refuse)
+    assert superpotential(spec).w == w
+    assert open_gw(fan, DiskClass(5, (0, 0, 0, 1, 1, 0))) == 1
+    assert quantum_product(fan, spec, 2, 4) == x3_worked_example(spec.k)
+    assert gw_c1_2_point(fan, (0, 0, 1, 1, 1, 0)) == 1
 
 
 def test_quantum_product_f0(bundled):
