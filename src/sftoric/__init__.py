@@ -5,15 +5,10 @@ from .disks import DiskClass, enumerate_admissible, open_gw
 from .fan import Fan, classify_semi_fano, fans_isomorphic
 from .kahler import KahlerSpec
 from .laurent import LaurentPoly, QPoly, canonical_string
-from .potential import bulk_superpotential, hori_vafa, superpotential, z_beta
+from .potential import bulk_superpotential, hori_vafa, psi_divisor, superpotential, z_beta
 from .quantum import quantum_product, quantum_sr_relations
 from .surfaces import BUNDLED, load_bundled, parse_surface
-from .verifier import (
-    jac_dimension,
-    psi_divisor,
-    verify_homomorphism,
-    verify_linear_identity,
-)
+from .verifier import jac_dimension, verify_homomorphism, verify_linear_identity
 
 __all__ = [
     "BUNDLED",

@@ -17,21 +17,28 @@ from .errors import ToricError
 from .fan import classify_semi_fano
 from .homology import unit_vector
 from .laurent import canonical_string, term_string
-from .potential import bulk_superpotential, hori_vafa, superpotential
+from .potential import bulk_superpotential, hori_vafa, psi_divisor, superpotential
 from .quantum import QHElement, quantum_sr_relations
 from .surfaces import BUNDLED, BUNDLED_NON_FANO, load_bundled, parse_surface_file
-from .verifier import psi_divisor, verify_homomorphism, verify_linear_identity
+from .verifier import verify_homomorphism, verify_linear_identity
 
 
 # an integer, a/b or a plain decimal; Fraction would also expand exponents
 _RATIONAL = re.compile(r"\s*[+-]?(\d+(/\d+)?|\d*\.\d+|\d+\.)\s*")
 
 
-def _rational(text: str) -> Fraction:
-    """The value of an option such as --q; ValueError (exit 2) off the forms above."""
+def _rational(text: str, option: str) -> Fraction:
+    """The value of an option such as --q; ValueError (exit 2) off the forms above.
+
+    A value past the interpreter's limit on integer digits is refused by name.
+    """
     if not _RATIONAL.fullmatch(text):
         raise ValueError(f"{text.strip()!r} is not an integer, a/b or a plain decimal")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ValueError:
+        digits = sum(c.isdigit() for c in text)
+        raise ValueError(f"{option} value with {digits} digits is too long") from None
 
 
 def _load(path: str):
@@ -71,9 +78,9 @@ def cmd_check(args) -> int:
 def cmd_superpotential(args) -> int:
     D = a = None
     if args.bulk_divisor is not None:
-        D = tuple(_rational(x) for x in args.bulk_divisor.split(","))
+        D = tuple(_rational(x, "--bulk-divisor") for x in args.bulk_divisor.split(","))
     if args.bulk_constant is not None:
-        a = _rational(args.bulk_constant)
+        a = _rational(args.bulk_constant, "--bulk-constant")
     fan, spec = _load(args.file)
     if args.hori_vafa:
         print(canonical_string(hori_vafa(spec)))
@@ -100,7 +107,7 @@ def cmd_qh(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    qvals = [_rational(v) for v in args.q.split(",")] if args.q else None
+    qvals = None if args.q is None else [_rational(v, "--q") for v in args.q.split(",")]
     fan, spec = _load(args.file)
     if fan.d == 3:
         ok = verify_linear_identity(spec)

@@ -9,6 +9,11 @@ ray vector), and the superpotential is the finite sum of Z_b over the classes
 with n_b = 1.  Dropping the sphere corrections leaves the Hori-Vafa leading
 part W_0 = sum_i Z_{beta_i}, which already is the whole potential in the Fano
 case.
+
+A divisor class D deforms W to W_D = sum_b exp<b, D> Z_b, <b, D> = D_i + D.alpha,
+and the open divisor equation psi(D) = d/de W_{eD}|_{e=0} = sum_b <b, D> Z_b
+is its first-order part: the map QH*(X) -> Jac(W) on divisors, the
+Kodaira-Spencer map of Fukaya-Oh-Ohta-Ono (arXiv:0810.5654).
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ from typing import Sequence
 
 from .disks import DiskClass, enumerate_admissible
 from .errors import NonIntegralPairing, ParameterMismatch
-from .fan import Fan
 from .homology import pair
 from .kahler import KahlerSpec
 from .laurent import LaurentPoly, QPoly, canonical_string
@@ -31,11 +35,6 @@ def z_beta(spec: KahlerSpec, b: DiskClass) -> LaurentPoly:
     area = spec.curve_area(b.alpha)
     exps = tuple(x + y for x, y in zip(base, area)) if any(area) else base
     return LaurentPoly.monomial(spec.k, spec.fan.ray(b.i), QPoly.monomial(spec.k, exps))
-
-
-def disk_pairing(fan: Fan, D: Sequence, b: DiskClass):
-    """<b, D> = D_i + D.alpha for the disk class b = beta_i + alpha."""
-    return D[b.i - 1] + pair(fan, D, b.alpha)
 
 
 @dataclass(slots=True)
@@ -58,11 +57,32 @@ def superpotential(spec: KahlerSpec) -> Superpotential:
 
 
 def hori_vafa(spec: KahlerSpec) -> LaurentPoly:
-    """The leading part W_0: basic disk classes only."""
-    w = LaurentPoly.zero(spec.k)
-    for i in range(1, spec.fan.d + 1):
-        w = w + z_beta(spec, DiskClass.basic(spec.fan, i))
-    return w
+    """The leading part W_0: the records of the basic classes (alpha = 0)."""
+    basic = (term for b, term in superpotential(spec).classes if not any(b.alpha))
+    return sum(basic, LaurentPoly.zero(spec.k))
+
+
+def _by_pairing(spec: KahlerSpec, D: Sequence) -> dict:
+    """The counted Z_b summed by the value of <b, D> = D_i + D.alpha.
+
+    D is a divisor class vector (rational entries allowed) with one entry
+    per ray, else ParameterMismatch.  Every basic class is counted and pairs
+    to D_i, so the values are all integers exactly when D is integral.
+    """
+    fan = spec.fan
+    if len(D) != fan.d:
+        raise ParameterMismatch(f"divisor class with {len(D)} entries for {fan.d} rays")
+    parts: dict = {}
+    for b, term in superpotential(spec).classes:
+        m = D[b.i - 1] + pair(fan, D, b.alpha)
+        parts[m] = parts[m] + term if m in parts else term
+    return parts
+
+
+def psi_divisor(spec: KahlerSpec, D: Sequence) -> LaurentPoly:
+    """psi(D) = sum_m m * (the Z_b with <b, D> = m); D may be rational."""
+    terms = (part.scale(m) for m, part in _by_pairing(spec, D).items() if m)
+    return sum(terms, LaurentPoly.zero(spec.k))
 
 
 @dataclass
@@ -74,7 +94,6 @@ class BulkPotential:
     The symbol exp(m) is kept formal.
     """
 
-    k: int
     parts: dict[int, LaurentPoly]
 
     def canonical_string(self) -> str:
@@ -88,26 +107,16 @@ class BulkPotential:
 
 
 def bulk_superpotential(spec: KahlerSpec, a=0, D: Sequence | None = None) -> BulkPotential:
-    """a + sum over admissible b of exp(<b, D>) * Z_b for a divisor class D.
+    """a + sum over counted b of exp(<b, D>) * Z_b for a divisor class D.
 
-    The terms Z_b are those of ``superpotential``.  D must have one entry
-    per ray, else ParameterMismatch, and be integral, else NonIntegralPairing.
+    D must have one entry per ray, else ParameterMismatch, and be integral,
+    else NonIntegralPairing.
     """
-    pot = superpotential(spec)
-    d = spec.fan.d
-    if D is None:
-        D = (0,) * d
-    D = tuple(D)
-    if len(D) != d:
-        raise ParameterMismatch(f"divisor class with {len(D)} entries for {d} rays")
-    if any(Fraction(m).denominator != 1 for m in D):
+    parts = _by_pairing(spec, (0,) * spec.fan.d if D is None else tuple(D))
+    if any(Fraction(m).denominator != 1 for m in parts):
         raise NonIntegralPairing("bulk divisor class must be integral")
-    D = tuple(int(m) for m in D)
-    parts: dict[int, LaurentPoly] = {}
-    for b, term in pot.classes:
-        m = disk_pairing(spec.fan, D, b)
-        parts[m] = parts[m] + term if m in parts else term
+    parts = {int(m): p for m, p in parts.items()}
     a = Fraction(a)
     if a:
         parts[0] = parts.get(0, LaurentPoly.zero(spec.k)) + LaurentPoly.constant(spec.k, a)
-    return BulkPotential(spec.k, {m: p for m, p in parts.items() if not p.is_zero()})
+    return BulkPotential(parts)

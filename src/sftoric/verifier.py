@@ -1,7 +1,8 @@
 """Verification of the ring isomorphism QH*(X) = Jac(W).
 
-The map psi sends a divisor class D to sum_b (D.b) Z_b over the admissible
-Maslov index two classes (the open divisor equation), and the identity
+The map psi sends a divisor class D to sum_b <b, D> Z_b over the counted
+Maslov index two classes (the open divisor equation); ``potential`` builds
+it as the first-order part of the bulk potential W_D.  The identity
 psi(sum_i v_i^j D_i) = z_j dW/dz_j is checked symbolically in the q_l, as is
 the dimension.  Membership runs at one exact rational q-sample in the open
 Kahler cone.  Each check comes with evidence the package checks itself:
@@ -40,35 +41,18 @@ from fractions import Fraction
 from math import isqrt
 from typing import Sequence
 
-from .errors import IsP2, OutOfRange, ParameterMismatch
+from .errors import IsP2, OutOfRange
 from .fan import Fan
 from .homology import linear_relations, solve_linear, unit_vector
 from .kahler import KahlerSpec
 from .laurent import LaurentPoly, QPoly
-from .potential import disk_pairing, superpotential
+from .potential import psi_divisor, superpotential
 from .quantum import QHElement, primitive_pairs, quantum_sr_relations
 
 
 def jacobian_ideal(w: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
     """Generators (g1, g2), g_j = z_j dW/dz_j, of the Jacobian ideal of W."""
     return w.log_derivative(1), w.log_derivative(2)
-
-
-def psi_divisor(spec: KahlerSpec, D: Sequence) -> LaurentPoly:
-    """psi(D) = sum over admissible b of (D . b) Z_b, extended linearly.
-
-    D is a divisor class vector (rational entries allowed) with one entry per
-    ray, else ParameterMismatch; (D . b) is ``potential.disk_pairing``.
-    """
-    fan = spec.fan
-    if len(D) != fan.d:
-        raise ParameterMismatch(f"divisor class with {len(D)} entries for {fan.d} rays")
-    out = LaurentPoly.zero(spec.k)
-    for b, term in superpotential(spec).classes:
-        weight = disk_pairing(fan, D, b)
-        if weight:
-            out = out + term.scale(Fraction(weight))
-    return out
 
 
 def psi_qh(spec: KahlerSpec, el: QHElement) -> LaurentPoly:

@@ -147,6 +147,32 @@ def test_cli_refuses_exponent_notation(capsys):
         assert run(capsys, *argv) == (2, "", message), argv
 
 
+@pytest.mark.parametrize(
+    "command, option, value, digits",
+    [
+        ("verify", "--q", "0." + "1" * 5000 + ",1/3", 5001),
+        ("superpotential", "--bulk-divisor", "0,0,0," + "1" * 5000, 5000),
+        ("superpotential", "--bulk-constant", "1" * 5000, 5000),
+    ],
+)
+def test_cli_names_an_option_value_past_the_digit_limit(capsys, command, option, value, digits):
+    # Fraction reads the digits as one int, which the interpreter refuses
+    # past 4300 digits: one error line names the option and the digit count
+    message = f"error: {option} value with {digits} digits is too long\n"
+    assert run(capsys, command, "X1", option, value) == (2, "", message)
+
+
+def test_cli_empty_option_values_are_refused(capsys):
+    # an empty --q is a value, not an absent option, as for the bulk options
+    for command, option in (
+        ("verify", "--q"),
+        ("superpotential", "--bulk-divisor"),
+        ("superpotential", "--bulk-constant"),
+    ):
+        message = "error: '' is not an integer, a/b or a plain decimal\n"
+        assert run(capsys, command, "X1", option, "") == (2, "", message), option
+
+
 NUMBER = r"[+-]?(\d{1,3}(/\d{1,3})?|\d{0,3}\.\d{1,3}|\d{1,3}\.)([eE][+-]?\d{1,7})?"
 
 
@@ -271,8 +297,10 @@ def test_cli_rejects_non_semi_fano(tmp_path, capsys):
         "surface F3\nparams 2\nray 1 0 : 0 0\nray 0 1 : 0 0\n"
         "ray -1 3 : 1 0\nray 0 -1 : 0 1\n"
     )
-    for command in ("qh", "superpotential", "psi", "verify"):
-        rc, out, err = run(capsys, command, str(f3))
+    # W_0 is read off the counted classes too, so --hori-vafa is refused
+    for command in ("qh", "superpotential", "psi", "verify", "superpotential --hori-vafa"):
+        name, *flags = command.split()
+        rc, out, err = run(capsys, name, str(f3), *flags)
         assert rc == 2, command
         assert out == "", command
         assert "semi-Fano" in err, command

@@ -1,15 +1,25 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from appendix_data import EXPECTED_W, build_unit
+from presentations import GENERATORS, presentation
+from psi_reference import psi_by_pairing
 from sftoric.disks import DiskClass, enumerate_admissible, open_gw
 from sftoric.errors import NonIntegralPairing, NotSemiFano, ParameterMismatch
 from sftoric.fan import Fan
+from sftoric.homology import linear_relations, unit_vector
 from sftoric.kahler import KahlerSpec
 from sftoric.laurent import LaurentPoly, QPoly, canonical_string
-from sftoric.potential import bulk_superpotential, hori_vafa, superpotential, z_beta
-from sftoric.surfaces import BUNDLED_NON_FANO
+from sftoric.potential import (
+    bulk_superpotential,
+    hori_vafa,
+    psi_divisor,
+    superpotential,
+    z_beta,
+)
+from sftoric.surfaces import BUNDLED, BUNDLED_NON_FANO, load_bundled
 
 
 def dc(fan, i, **mult):
@@ -52,6 +62,8 @@ def test_superpotential_rejects_non_semi_fano():
     spec = KahlerSpec(fan, 2, [(0, 0), (0, 0), (3, 1), (1, 0)])
     with pytest.raises(NotSemiFano):
         superpotential(spec)
+    with pytest.raises(NotSemiFano):
+        hori_vafa(spec)
     # the check sits in the enumeration itself, so the counts reject it too
     with pytest.raises(NotSemiFano, match="disk count formula"):
         enumerate_admissible(fan)
@@ -125,3 +137,46 @@ def test_bulk_errors(bundled):
         bulk_superpotential(spec, 0, (Fraction(1, 2), 0, 0, 0))
     with pytest.raises(ParameterMismatch, match="divisor class with 2 entries for 4 rays"):
         bulk_superpotential(spec, 0, (1, 0))
+
+
+def _psi_cases(spec):
+    # the unit vectors, both L_j and one rational class
+    d = spec.fan.d
+    rational = tuple(Fraction(i - 2, 3 + i % 2) for i in range(d))
+    return [unit_vector(d, i) for i in range(1, d + 1)] + [*linear_relations(spec.fan), rational]
+
+
+@pytest.mark.parametrize("generator", [None, *GENERATORS])
+def test_psi_is_the_pairing_sum(bundled, generator):
+    # the bundled files, then each generator on every seventh surface with
+    # shifted rows and a translated polytope
+    names = sorted(BUNDLED)
+    if generator is not None:
+        j = list(GENERATORS).index(generator)
+        names = names[j :: len(GENERATORS)]
+    for name in names:
+        spec = bundled[name][1]
+        if generator is not None:
+            U = ((1,) * spec.k, tuple(range(spec.k)))
+            spec = presentation(name, GENERATORS[generator], shift=1, U=U)
+        for D in _psi_cases(spec):
+            assert psi_divisor(spec, D) == psi_by_pairing(spec, D), (name, generator, D)
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(
+    name=st.sampled_from(sorted(BUNDLED)),
+    entries=st.lists(st.integers(-3, 3), min_size=9, max_size=9),
+)
+def test_bulk_parts_sum_to_w_and_weight_to_psi(name, entries):
+    # at e = 0 the bulk potential W_{eD} is W, and its first-order part is psi(D)
+    _, spec = load_bundled(name)
+    d = spec.fan.d
+    D = tuple(entries[:d])
+    parts = bulk_superpotential(spec, 0, D).parts
+    assert sum(parts.values(), LaurentPoly.zero(spec.k)) == superpotential(spec).w
+    weighted = sum((p.scale(m) for m, p in parts.items()), LaurentPoly.zero(spec.k))
+    assert weighted == psi_divisor(spec, D) == psi_by_pairing(spec, D)
+    # the length is checked before integrality
+    with pytest.raises(ParameterMismatch):
+        bulk_superpotential(spec, 0, (Fraction(1, 2),) + D)
