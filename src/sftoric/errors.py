@@ -8,7 +8,8 @@ class ToricError(Exception):
 # --- fan validation ---
 
 class NotPrimitive(ToricError):
-    """A ray generator is not a primitive lattice vector."""
+    """A ray generator is not a primitive vector of Z^2, or has an entry that
+    is not an exact integer (an int or an integral Fraction)."""
 
 
 class NotCounterclockwise(ToricError):
@@ -35,15 +36,17 @@ class DegenerateEdge(ToricError):
 
 
 class InvalidKahlerData(ToricError):
-    """Rows that do not fit the fan, or no grid point t makes every edge positive."""
+    """Rows that do not fit the fan or have an entry that is not an exact
+    integer, or no grid point t makes every edge positive."""
 
 
 # --- mismatched inputs ---
 
 class ParameterMismatch(ToricError):
     """Inputs that do not match: parameter counts, fan vs KahlerSpec, a class
-    or divisor vector without one entry per ray, or a disk class whose basic
-    index is not a ray index 1..d."""
+    or divisor vector without one entry per ray, a divisor entry or bulk
+    constant that is not an exact rational (an int or a Fraction), or a disk
+    class whose basic index is not a ray index 1..d."""
 
 
 class OutOfRange(ToricError):

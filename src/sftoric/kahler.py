@@ -22,9 +22,9 @@ from __future__ import annotations
 from itertools import product
 from typing import Sequence
 
-from .errors import DegenerateEdge, InvalidKahlerData, ParameterMismatch
-from .fan import Fan
-from .homology import gram_matrix
+from .errors import DegenerateEdge, InvalidKahlerData
+from .fan import Fan, _exact_ints
+from .homology import _check_length, gram_matrix
 
 
 def _combination(coeffs: Sequence[int], forms: Sequence[Sequence[int]], k: int) -> tuple[int, ...]:
@@ -49,7 +49,7 @@ class KahlerSpec:
     __slots__ = ("fan", "k", "rows", "name", "sample_point", "_edges")
 
     def __init__(self, fan: Fan, k: int, rows: Sequence[Sequence[int]], name: str = ""):
-        rows = tuple(tuple(int(a) for a in row) for row in rows)
+        rows = tuple(_exact_ints(row, InvalidKahlerData, "row") for row in rows)
         if len(rows) != fan.d:
             raise InvalidKahlerData(
                 f"{len(rows)} constant rows for a fan with {fan.d} rays"
@@ -109,8 +109,7 @@ class KahlerSpec:
         linear-equivalence relations (the polygon closes up).  Raises
         ParameterMismatch unless alpha has one entry per ray.
         """
-        if len(alpha) != self.d:
-            raise ParameterMismatch(f"class vector with {len(alpha)} entries for {self.d} rays")
+        _check_length(self.fan, alpha)
         return _combination(alpha, self._edges, self.k)
 
     def disk_coefficient(self, i: int) -> tuple[int, ...]:

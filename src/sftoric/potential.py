@@ -65,13 +65,17 @@ def hori_vafa(spec: KahlerSpec) -> LaurentPoly:
 def _by_pairing(spec: KahlerSpec, D: Sequence) -> dict:
     """The counted Z_b summed by the value of <b, D> = D_i + D.alpha.
 
-    D is a divisor class vector (rational entries allowed) with one entry
-    per ray, else ParameterMismatch.  Every basic class is counted and pairs
-    to D_i, so the values are all integers exactly when D is integral.
+    D is a divisor class vector with one int or Fraction entry per ray, else
+    ParameterMismatch.  Every basic class is counted and pairs to D_i, so the
+    values are all integers exactly when D is integral.
     """
     fan = spec.fan
     if len(D) != fan.d:
         raise ParameterMismatch(f"divisor class with {len(D)} entries for {fan.d} rays")
+    if not all(isinstance(x, (int, Fraction)) for x in D):
+        raise ParameterMismatch(
+            f"divisor class {tuple(D)} has an entry that is not an int or a Fraction"
+        )
     parts: dict = {}
     for b, term in superpotential(spec).classes:
         m = D[b.i - 1] + pair(fan, D, b.alpha)
@@ -80,7 +84,7 @@ def _by_pairing(spec: KahlerSpec, D: Sequence) -> dict:
 
 
 def psi_divisor(spec: KahlerSpec, D: Sequence) -> LaurentPoly:
-    """psi(D) = sum_m m * (the Z_b with <b, D> = m); D may be rational."""
+    """psi(D) = sum_m m * (the Z_b with <b, D> = m); D may be rational (Fraction)."""
     terms = (part.scale(m) for m, part in _by_pairing(spec, D).items() if m)
     return sum(terms, LaurentPoly.zero(spec.k))
 
@@ -109,11 +113,13 @@ class BulkPotential:
 def bulk_superpotential(spec: KahlerSpec, a=0, D: Sequence | None = None) -> BulkPotential:
     """a + sum over counted b of exp(<b, D>) * Z_b for a divisor class D.
 
-    D must have one entry per ray, else ParameterMismatch, and be integral,
-    else NonIntegralPairing.
+    a must be an int or a Fraction and D must have one such entry per ray,
+    else ParameterMismatch; D must be integral, else NonIntegralPairing.
     """
+    if not isinstance(a, (int, Fraction)):
+        raise ParameterMismatch(f"bulk constant {a!r} is not an int or a Fraction")
     parts = _by_pairing(spec, (0,) * spec.fan.d if D is None else tuple(D))
-    if any(Fraction(m).denominator != 1 for m in parts):
+    if any(m.denominator != 1 for m in parts):
         raise NonIntegralPairing("bulk divisor class must be integral")
     parts = {int(m): p for m, p in parts.items()}
     a = Fraction(a)

@@ -40,7 +40,7 @@ from .errors import IsP2, NotPrimitivePair, ParameterMismatch, WrongChern
 from .fan import Fan, _per_fan
 from .homology import chern_number, fiber_classes, profile, reduce_class
 from .kahler import KahlerSpec
-from .laurent import QPoly, share_tuples
+from .laurent import QPoly
 
 
 @dataclass(slots=True)
@@ -242,25 +242,10 @@ def quantum_sr_relations(fan: Fan, spec: KahlerSpec):
     """The quantum expansion of D_i D_j for every primitive pair.
 
     The curve classes, their representatives and q-monomials are built once
-    and shared by all pairs.  Equal coefficients are one object, and so are
-    equal exponent and coefficient tuples of different coefficients.  Raises
-    ParameterMismatch when fan is not spec.fan, IsP2 on P^2 and NotSemiFano
-    off the semi-Fano range.
+    and shared by all pairs.  Raises ParameterMismatch when fan is not
+    spec.fan, IsP2 on P^2 and NotSemiFano off the semi-Fano range.
     """
     pairs = primitive_pairs(fan)
     _check_supported(fan, spec)
     data = _curve_data(fan, spec)
-    out = []
-    shared: dict[QPoly, QPoly] = {}  # one object per coefficient value
-    pool: dict[tuple, tuple] = {}  # one object per exponent or coefficient tuple
-
-    def one(c: QPoly) -> QPoly:
-        s = shared.get(c)
-        if s is None:
-            s = shared[c] = share_tuples(c, pool)
-        return s
-
-    for pr in pairs:
-        el = _product(fan, spec.k, data, *pr)
-        out.append((pr, QHElement(one(el.scalar), tuple(one(c) for c in el.divisor))))
-    return out
+    return [(pr, _product(fan, spec.k, data, *pr)) for pr in pairs]

@@ -40,6 +40,9 @@ def test_validate_examples():
     assert Fan(X1_RAYS).d == 4
     with pytest.raises(NotPrimitive):
         Fan([(1, 0), (0, 2), (-1, -1)])
+    # a ray with a third entry is refused, not cut to its first two
+    with pytest.raises(NotPrimitive, match=r"^ray \(1, 0, 5\) is not a primitive vector of Z\^2$"):
+        Fan([(1, 0, 5), (0, 1), (-1, -1)])
     with pytest.raises(NotCounterclockwise):
         Fan([(0, 1), (1, 0), (-1, -1)])
     with pytest.raises(NotSmooth):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sftoric.errors import OutOfRange, ParameterMismatch
-from sftoric.laurent import LaurentPoly, QPoly, canonical_string, qpoly_string, share_tuples
+from sftoric.laurent import LaurentPoly, QPoly, canonical_string, qpoly_string
 
 
 def qmono(k, exps, c=1):
@@ -35,22 +35,6 @@ def random_laurent(rng, k):
         ze = (rng.randrange(-2, 3), rng.randrange(-2, 3))
         p = p + LaurentPoly.monomial(k, ze, random_qpoly(rng, k))
     return p
-
-
-def test_share_tuples():
-    # the first QPoly through a pool is returned as is; a later one with an
-    # equal support or equal coefficients is rebuilt on the pooled tuples
-    pool = {}
-    a = QPoly(2, {(1, 0): 2, (0, 1): Fraction(1, 3)})
-    b = QPoly(2, {(1, 0): 5, (0, 1): -1})
-    c = QPoly(2, {(2, 0): 2, (1, 1): Fraction(1, 3)})
-    assert share_tuples(a, pool) is a
-    sb, sc = share_tuples(b, pool), share_tuples(c, pool)
-    assert sb == b and sc == c
-    assert sb._exps is a._exps and sb._coeffs is not a._coeffs
-    assert sc._coeffs is a._coeffs and sc._exps is not a._exps
-    assert share_tuples(b, pool) is not b
-    assert share_tuples(QPoly.zero(2), pool) is QPoly.zero(2)
 
 
 def test_mul_add_examples():

@@ -7,7 +7,13 @@ from appendix_data import EXPECTED_W, build_unit
 from presentations import GENERATORS, presentation
 from psi_reference import psi_by_pairing
 from sftoric.disks import DiskClass, enumerate_admissible, open_gw
-from sftoric.errors import NonIntegralPairing, NotSemiFano, ParameterMismatch
+from sftoric.errors import (
+    InvalidKahlerData,
+    NonIntegralPairing,
+    NotPrimitive,
+    NotSemiFano,
+    ParameterMismatch,
+)
 from sftoric.fan import Fan
 from sftoric.homology import linear_relations, unit_vector
 from sftoric.kahler import KahlerSpec
@@ -137,6 +143,69 @@ def test_bulk_errors(bundled):
         bulk_superpotential(spec, 0, (Fraction(1, 2), 0, 0, 0))
     with pytest.raises(ParameterMismatch, match="divisor class with 2 entries for 4 rays"):
         bulk_superpotential(spec, 0, (1, 0))
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(
+    name=st.sampled_from(sorted(BUNDLED)),
+    site=st.sampled_from(["ray", "row", "psi divisor", "bulk constant", "bulk divisor"]),
+    bad=st.sampled_from([0.5, "1", None, Fraction(1, 2)]),
+    data=st.data(),
+)
+def test_entries_must_be_exact(name, site, bad, data):
+    # one entry swapped for a float, a str or None raises the site's
+    # ToricError, and so does a non-integral Fraction where an integer is
+    # needed; the same entry as an integral Fraction builds what the int builds
+    fan, spec = load_bundled(name)
+    d, k = fan.d, spec.k
+    ints = data.draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d))
+    a = data.draw(st.integers(-2, 2))
+    sites = {  # entries, what they build as a string, error if not exact, error for 1/2
+        "ray": (
+            [x for v in fan.rays for x in v],
+            lambda e: repr(Fan(zip(e[::2], e[1::2])).rays),
+            NotPrimitive,
+            NotPrimitive,
+        ),
+        "row": (
+            [x for row in spec.rows for x in row],
+            lambda e: repr(KahlerSpec(fan, k, [e[r * k : (r + 1) * k] for r in range(d)]).rows),
+            InvalidKahlerData,
+            InvalidKahlerData,
+        ),
+        "psi divisor": (
+            ints,
+            lambda e: canonical_string(psi_divisor(spec, e)),
+            ParameterMismatch,
+            None,
+        ),
+        "bulk constant": (
+            [a],
+            lambda e: bulk_superpotential(spec, e[0], ints).canonical_string(),
+            ParameterMismatch,
+            None,
+        ),
+        "bulk divisor": (
+            ints,
+            lambda e: bulk_superpotential(spec, a, e).canonical_string(),
+            ParameterMismatch,
+            NonIntegralPairing,
+        ),
+    }
+    entries, build, error, half_error = sites[site]
+    pos = data.draw(st.integers(0, len(entries) - 1))
+
+    def swapped(x):
+        return build([x if n == pos else e for n, e in enumerate(entries)])
+
+    assert swapped(Fraction(entries[pos])) == build(entries)
+    if isinstance(bad, Fraction):
+        error = half_error
+    if error is None:
+        swapped(bad)  # a rational entry is accepted here
+    else:
+        with pytest.raises(error):
+            swapped(bad)
 
 
 def _psi_cases(spec):
