@@ -27,6 +27,7 @@ from typing import Iterator
 from .errors import ParameterMismatch, WrongMaslov
 from .fan import Fan, _per_fan
 from .homology import chern_number, profile
+from .laurent import _exact
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,10 +76,12 @@ def open_gw(fan: Fan, b: DiskClass) -> int:
 
     One iff some listed class has basic index b.i and a sphere part of the
     class of b.alpha in H_2(X), so the count does not depend on the vector
-    representing alpha.  Raises ParameterMismatch unless 1 <= b.i <= d and
-    alpha has one entry per ray, WrongMaslov off Maslov index two and
-    NotSemiFano off the semi-Fano range.
+    representing alpha.  Raises ParameterMismatch unless b.i and alpha are
+    exact integers, 1 <= b.i <= d and alpha has one entry per ray,
+    WrongMaslov off Maslov index two and NotSemiFano off the semi-Fano range.
     """
+    (i,) = _exact((b.i,), "basic index", integral=True)
+    b = DiskClass(i, _exact(b.alpha, "sphere part", integral=True))
     if not 1 <= b.i <= fan.d:
         raise ParameterMismatch(f"basic index {b.i} is not a ray index 1..{fan.d}")
     if maslov_index(fan, b) != 2:

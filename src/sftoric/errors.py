@@ -8,8 +8,8 @@ class ToricError(Exception):
 # --- fan validation ---
 
 class NotPrimitive(ToricError):
-    """A ray generator is not a primitive vector of Z^2, or has an entry that
-    is not an exact integer (an int or an integral Fraction)."""
+    """A ray generator is not a sequence of exact integers (ints or integral
+    Fractions), or is not a primitive vector of Z^2."""
 
 
 class NotCounterclockwise(ToricError):
@@ -36,17 +36,17 @@ class DegenerateEdge(ToricError):
 
 
 class InvalidKahlerData(ToricError):
-    """Rows that do not fit the fan or have an entry that is not an exact
-    integer, or no grid point t makes every edge positive."""
+    """A parameter count k that is not an int >= 0, rows that do not fit the fan
+    or are not exact integers, or no grid point t makes every edge positive."""
 
 
 # --- mismatched inputs ---
 
 class ParameterMismatch(ToricError):
-    """Inputs that do not match: parameter counts, fan vs KahlerSpec, a class
-    or divisor vector without one entry per ray, a divisor entry or bulk
-    constant that is not an exact rational (an int or a Fraction), or a disk
-    class whose basic index is not a ray index 1..d."""
+    """Inputs that do not match: parameter counts, fan vs KahlerSpec, a vector
+    without one entry per ray, a basic index off 1..d, or an inexact value: a
+    float, str or None where an int or a Fraction is needed, or a non-integer
+    in an exponent vector, a disk class or a curve class."""
 
 
 class OutOfRange(ToricError):

@@ -9,7 +9,6 @@ cyclic order along the chain.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import wraps
 from math import gcd
 from typing import Iterable, Sequence
@@ -22,19 +21,13 @@ from .errors import (
     NotSemiFano,
     NotSmooth,
 )
+from .laurent import _exact
 
 Vec = tuple[int, int]
 
 
 def det(a: Sequence[int], b: Sequence[int]) -> int:
     return a[0] * b[1] - a[1] * b[0]
-
-
-def _exact_ints(xs: Sequence, error: type, what: str) -> tuple[int, ...]:
-    """xs as ints when every entry is an int or an integral Fraction, else raise error."""
-    if not all(isinstance(x, (int, Fraction)) and x.denominator == 1 for x in xs):
-        raise error(f"{what} {tuple(xs)} has an entry that is not an exact integer")
-    return tuple(int(x) for x in xs)
 
 
 def _per_fan(build):
@@ -54,7 +47,7 @@ class Fan:
     __slots__ = ("rays", "_memo")
 
     def __init__(self, rays: Iterable[Sequence[int]]):
-        rays = tuple(_exact_ints(v, NotPrimitive, "ray") for v in rays)
+        rays = tuple(_exact(v, "ray", NotPrimitive, integral=True) for v in rays)
         for v in rays:
             if len(v) != 2 or v == (0, 0) or gcd(abs(v[0]), abs(v[1])) != 1:
                 raise NotPrimitive(f"ray {v} is not a primitive vector of Z^2")

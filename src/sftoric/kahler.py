@@ -23,8 +23,9 @@ from itertools import product
 from typing import Sequence
 
 from .errors import DegenerateEdge, InvalidKahlerData
-from .fan import Fan, _exact_ints
+from .fan import Fan
 from .homology import _check_length, gram_matrix
+from .laurent import _exact
 
 
 def _combination(coeffs: Sequence[int], forms: Sequence[Sequence[int]], k: int) -> tuple[int, ...]:
@@ -49,7 +50,9 @@ class KahlerSpec:
     __slots__ = ("fan", "k", "rows", "name", "sample_point", "_edges")
 
     def __init__(self, fan: Fan, k: int, rows: Sequence[Sequence[int]], name: str = ""):
-        rows = tuple(_exact_ints(row, InvalidKahlerData, "row") for row in rows)
+        if type(k) is not int or k < 0:
+            raise InvalidKahlerData(f"parameter count {k!r} is not a non-negative int")
+        rows = tuple(_exact(row, "row", InvalidKahlerData, integral=True) for row in rows)
         if len(rows) != fan.d:
             raise InvalidKahlerData(
                 f"{len(rows)} constant rows for a fan with {fan.d} rays"

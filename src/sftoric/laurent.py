@@ -42,17 +42,34 @@ ZExp = tuple[int, int]
 Coeff = int | Fraction
 
 
-def _lean(c) -> Coeff:
-    """An exact rational as an int when it is integral, else as a Fraction."""
-    if type(c) is int:
-        return c
-    c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
-
-
 def _integral(v):
     """A computed coefficient: an integral Fraction becomes an int."""
     return v.numerator if type(v) is Fraction and v.denominator == 1 else v
+
+
+def _exact(xs, what: str, error: type = ParameterMismatch, integral: bool = False) -> tuple:
+    """xs as a tuple of ints and Fractions (an integral one as an int), else raise error.
+
+    The package's one exactness rule: xs must be a sequence of ints and
+    Fractions, of exact integers when integral is set; nothing is coerced.
+    """
+    if isinstance(xs, Sequence) and all(
+        isinstance(x, (int, Fraction)) and (not integral or x.denominator == 1) for x in xs
+    ):
+        return tuple(x.numerator if x.denominator == 1 else x for x in xs)
+    kind = "exact integers" if integral else "ints and Fractions"
+    raise error(f"{what} {xs!r} is not a sequence of {kind}")
+
+
+def _q_values(qvals, k: int, unit: bool = False) -> tuple:
+    """qvals as k exact rationals, else ParameterMismatch; with unit, OutOfRange off (0, 1)."""
+    qvals = _exact(qvals, "q-sample")
+    if len(qvals) != k:
+        raise ParameterMismatch(f"{len(qvals)} values for k={k}")
+    for v in qvals:
+        if unit and not 0 < v < 1:
+            raise OutOfRange(f"q value {v} is not in (0, 1)")
+    return qvals
 
 
 class _Sparse:
@@ -71,13 +88,13 @@ class _Sparse:
             ring, width = cls._ring, cls._width or k
             for e, c in terms.items():
                 if ring is None:
-                    c = _lean(c)
+                    c = c if type(c) is int else _exact((c,), "coefficient")[0]
                 elif c.k != k:
                     raise ParameterMismatch(f"coefficient over k={c.k} in a polynomial over k={k}")
                 if not c:
                     continue
                 if type(e) is not tuple or not all(type(x) is int for x in e):
-                    e = tuple(int(x) for x in e)
+                    e = _exact(e, "exponent vector", integral=True)
                 if len(e) != width:
                     raise ParameterMismatch(f"exponent vector {e} does not have length {width}")
                 clean[e] = c
@@ -140,9 +157,7 @@ class _Sparse:
     def __mul__(self, other):
         """Product with a polynomial of the same type, or with an int or Fraction."""
         if type(other) is not type(self):
-            if isinstance(other, (int, Fraction)):
-                return self.scale(other)
-            return NotImplemented
+            return self.__rmul__(other)
         self._check(other)
         a, b = (self, other) if len(self._exps) >= len(other._exps) else (other, self)
         if len(b._exps) == 1 and not any(b._exps[0]):
@@ -156,9 +171,8 @@ class _Sparse:
         return _from_dict(type(self), self.k, {e: _integral(v) for e, v in out.items() if v})
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
+        # a scalar goes through scale; polynomials of two types do not mix
+        return NotImplemented if isinstance(other, _Sparse) else self.scale(other)
 
     def scale(self, c):
         """Multiply by a rational scalar, or a LaurentPoly by a QPoly.
@@ -166,7 +180,7 @@ class _Sparse:
         ``scale(1)`` is the polynomial itself.
         """
         if type(c) is not self._ring:
-            c = _lean(c)
+            c = c if type(c) is int else _exact((c,), "scalar")[0]
             if c == 1:
                 return self
         if not c or not self._exps:
@@ -231,16 +245,14 @@ class QPoly(_Sparse):
     def monomial(k: int, exps: Sequence[int], c=1) -> "QPoly":
         return QPoly(k, {tuple(exps): c})
 
-    def specialize(self, qvals: Sequence[Fraction]) -> Fraction:
-        if len(qvals) != self.k:
-            raise ParameterMismatch(f"{len(qvals)} values for k={self.k}")
-        qvals = [Fraction(q) for q in qvals]
+    def specialize(self, qvals: Sequence) -> Fraction:
+        qvals = _q_values(qvals, self.k)
         total = Fraction(0)
         for e, c in zip(self._exps, self._coeffs):
             m = Fraction(c)
             for exp, q in zip(e, qvals):
-                if exp:
-                    m *= q**exp
+                if exp:  # q may be an int, whose negative power is a float
+                    m = m * q**exp if exp > 0 else m / q**-exp
             total += m
         return total
 
@@ -285,18 +297,13 @@ class LaurentPoly(_Sparse):
         return _from_dict(LaurentPoly, self.k, out)
 
     def specialize_q(self, qvals: Sequence) -> "LaurentPoly":
-        """Substitute exact rationals for the q_l; result has k = 0."""
-        qvals = [Fraction(v) for v in qvals]
-        if len(qvals) != self.k:
-            raise ParameterMismatch(f"{len(qvals)} values for k={self.k}")
-        for v in qvals:
-            if not 0 < v < 1:
-                raise OutOfRange(f"q value {v} is not in (0, 1)")
+        """Substitute exact rationals in (0, 1) for the q_l; result has k = 0."""
+        qvals = _q_values(qvals, self.k, unit=True)
         out = {}
         for ze, qp in zip(self._exps, self._coeffs):
             c = qp.specialize(qvals)
             if c:
-                out[ze] = _make(QPoly, 0, ((),), (_lean(c),))
+                out[ze] = _make(QPoly, 0, ((),), (_integral(c),))
         return _from_dict(LaurentPoly, 0, out)
 
 

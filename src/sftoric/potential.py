@@ -19,14 +19,13 @@ Kodaira-Spencer map of Fukaya-Oh-Ohta-Ono (arXiv:0810.5654).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
 from .disks import DiskClass, enumerate_admissible
 from .errors import NonIntegralPairing, ParameterMismatch
 from .homology import pair
 from .kahler import KahlerSpec
-from .laurent import LaurentPoly, QPoly, canonical_string
+from .laurent import LaurentPoly, QPoly, _exact, canonical_string
 
 
 def z_beta(spec: KahlerSpec, b: DiskClass) -> LaurentPoly:
@@ -70,12 +69,9 @@ def _by_pairing(spec: KahlerSpec, D: Sequence) -> dict:
     values are all integers exactly when D is integral.
     """
     fan = spec.fan
+    D = _exact(D, "divisor class")
     if len(D) != fan.d:
         raise ParameterMismatch(f"divisor class with {len(D)} entries for {fan.d} rays")
-    if not all(isinstance(x, (int, Fraction)) for x in D):
-        raise ParameterMismatch(
-            f"divisor class {tuple(D)} has an entry that is not an int or a Fraction"
-        )
     parts: dict = {}
     for b, term in superpotential(spec).classes:
         m = D[b.i - 1] + pair(fan, D, b.alpha)
@@ -116,13 +112,10 @@ def bulk_superpotential(spec: KahlerSpec, a=0, D: Sequence | None = None) -> Bul
     a must be an int or a Fraction and D must have one such entry per ray,
     else ParameterMismatch; D must be integral, else NonIntegralPairing.
     """
-    if not isinstance(a, (int, Fraction)):
-        raise ParameterMismatch(f"bulk constant {a!r} is not an int or a Fraction")
-    parts = _by_pairing(spec, (0,) * spec.fan.d if D is None else tuple(D))
-    if any(m.denominator != 1 for m in parts):
+    (a,) = _exact((a,), "bulk constant")
+    parts = _by_pairing(spec, (0,) * spec.fan.d if D is None else D)
+    if any(m.denominator != 1 for m in parts):  # an integral D pairs to ints
         raise NonIntegralPairing("bulk divisor class must be integral")
-    parts = {int(m): p for m, p in parts.items()}
-    a = Fraction(a)
     if a:
         parts[0] = parts.get(0, LaurentPoly.zero(spec.k)) + LaurentPoly.constant(spec.k, a)
     return BulkPotential(parts)

@@ -40,7 +40,7 @@ from .errors import IsP2, NotPrimitivePair, ParameterMismatch, WrongChern
 from .fan import Fan, _per_fan
 from .homology import chern_number, fiber_classes, profile, reduce_class
 from .kahler import KahlerSpec
-from .laurent import QPoly
+from .laurent import QPoly, _exact
 
 
 @dataclass(slots=True)
@@ -155,8 +155,9 @@ def c1_one_classes(fan: Fan) -> list[tuple[int, ...]]:
 def _sphere_count(fan: Fan, alpha: Sequence[int], c1: int) -> int:
     """1 when alpha has the pairing profile of a class in ``_classes(fan)[c1]``, else 0.
 
-    Raises WrongChern unless c_1(alpha) = c1.
+    Raises ParameterMismatch unless alpha is exact and WrongChern unless c_1(alpha) = c1.
     """
+    alpha = _exact(alpha, "curve class", integral=True)
     if chern_number(fan, alpha) != c1:
         raise WrongChern(f"c_1(alpha) = {chern_number(fan, alpha)}, expected {c1}")
     target = profile(fan, alpha)

@@ -45,7 +45,7 @@ from .errors import IsP2, OutOfRange
 from .fan import Fan
 from .homology import linear_relations, solve_linear, unit_vector
 from .kahler import KahlerSpec
-from .laurent import LaurentPoly, QPoly
+from .laurent import LaurentPoly, QPoly, _q_values
 from .potential import psi_divisor, superpotential
 from .quantum import QHElement, primitive_pairs, quantum_sr_relations
 
@@ -210,31 +210,39 @@ def off_cone_edge(spec: KahlerSpec, qvals: Sequence[Fraction]) -> int | None:
     return None
 
 
-def _w_on_cone(spec: KahlerSpec, w: LaurentPoly, qvals: Sequence) -> LaurentPoly:
-    """W at exact rational q values, which must lie in the open Kahler cone.
+def _q_sample(spec: KahlerSpec, qvals: Sequence | None) -> tuple:
+    """The q-sample of the checks: qvals checked in order, else the default.
 
-    specialize_q rejects a wrong count or a value outside (0, 1); a sample
-    off the cone raises OutOfRange naming the first edge whose q-monomial
-    is >= 1.
+    Given qvals must pass ``_q_values`` (exact, k of them, in (0, 1)) and lie
+    in the open Kahler cone, else OutOfRange names the first edge whose
+    q-monomial is >= 1.  Omitted, the sample is ``default_q_sample(k)`` when
+    it lies in the cone, else q_l = 2^(-t_l) at t = spec.sample_point, where
+    KahlerSpec certified every edge length L_i . t >= 1, so each edge
+    q-monomial is <= 1/2.
     """
-    w_at = w.specialize_q(qvals)
-    edge = off_cone_edge(spec, qvals)
+    if qvals is None:
+        sample = default_q_sample(spec.k)
+        if off_cone_edge(spec, sample) is None:
+            return sample
+        return tuple(Fraction(1, 2**t) for t in spec.sample_point)
+    sample = _q_values(qvals, spec.k, unit=True)
+    edge = off_cone_edge(spec, sample)
     if edge is not None:
         raise OutOfRange(
             f"the q-sample lies off the Kahler cone: edge {edge} has q-monomial >= 1"
         )
-    return w_at
+    return sample
 
 
 def jac_dimension(spec: KahlerSpec, qvals: Sequence) -> int | None:
     """dim of the Laurent Jacobian ring at exact rational q values.
 
-    The sample must lie in the open Kahler cone (else OutOfRange, naming the
-    edge).  The value is ``edge_factorisation`` of the symbolic W, which
-    holds on the whole open cone and so at this sample.
+    The sample is checked by ``_q_sample`` (OutOfRange off the open Kahler
+    cone, naming the edge).  The value is ``edge_factorisation`` of the
+    symbolic W, which holds on the whole open cone and so at this sample.
     """
     w = superpotential(spec).w
-    _w_on_cone(spec, w, qvals)
+    _q_sample(spec, qvals)
     return edge_factorisation(spec, w)
 
 
@@ -243,26 +251,17 @@ def verify_homomorphism(
 ) -> VerificationReport:
     """Check every quantum relation and the dimension equality for one surface.
 
-    With qvals omitted, the sample is ``default_q_sample(k)`` when it lies
-    in the open Kahler cone, else q_l = 2^(-t_l) at t = spec.sample_point.
-    KahlerSpec certified every edge length L_i . t >= 1 there, so each edge
-    q-monomial is 2^(-L_i . t) <= 1/2 and the sample lies in the cone.
-    Explicit qvals off the cone raise OutOfRange, naming the first edge
-    whose q-monomial is >= 1.  Membership is certified at the sample, the
-    dimension on the whole cone by ``edge_factorisation`` of the symbolic W.
+    With qvals omitted the sample is ``default_q_sample(k)``, or 2^(-t) at
+    spec.sample_point off the open Kahler cone; given qvals are checked by
+    ``_q_sample``.  Membership is certified at the sample, the dimension on
+    the whole cone by ``edge_factorisation`` of the symbolic W.
     """
     fan = spec.fan
     if fan.d == 3:
         raise IsP2("quantum Stanley-Reisner verification excludes P^2")
     linear_ok = verify_linear_identity(spec)
-    if qvals is None:
-        sample = default_q_sample(spec.k)
-        if off_cone_edge(spec, sample) is not None:
-            sample = tuple(Fraction(1, 2**t) for t in spec.sample_point)
-    else:
-        sample = tuple(Fraction(v) for v in qvals)
+    sample = _q_sample(spec, qvals)
     w = superpotential(spec).w
-    w_at = _w_on_cone(spec, w, sample)
     pairs, polys = [], []
     for (i, j), el in quantum_sr_relations(fan, spec):
         lhs = psi_divisor(spec, unit_vector(fan.d, i))
@@ -270,7 +269,7 @@ def verify_homomorphism(
         pairs.append((i, j))
         polys.append((lhs * rhs - psi_qh(spec, el)).specialize_q(sample))
     assert pairs == primitive_pairs(fan)
-    certs = cofactor_certificates(fan, jacobian_ideal(w_at), polys)
+    certs = cofactor_certificates(fan, jacobian_ideal(w.specialize_q(sample)), polys)
     return VerificationReport(
         surface=spec.name or f"{fan.d}-ray surface",
         q_sample=sample,

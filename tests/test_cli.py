@@ -286,9 +286,11 @@ def test_cli_verify(capsys):
     rc, out, _ = run(capsys, "verify", "X1")
     assert rc == 0
     assert out.splitlines()[-1] == "RESULT PASS"
-    rc, out, _ = run(capsys, "verify", "X1", "--q", "1/3,1/5")
-    assert rc == 0
-    assert "q-sample q1=1/3 q2=1/5" in out
+    # the CLI reads a decimal as the exact rational it writes
+    for q, line in (("1/3,1/5", "q-sample q1=1/3 q2=1/5"), ("0.5,0.25", "q-sample q1=1/2 q2=1/4")):
+        rc, out, _ = run(capsys, "verify", "X1", "--q", q)
+        assert rc == 0
+        assert line in out.splitlines()
 
 
 def test_cli_rejects_non_semi_fano(tmp_path, capsys):

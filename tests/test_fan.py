@@ -43,6 +43,9 @@ def test_validate_examples():
     # a ray with a third entry is refused, not cut to its first two
     with pytest.raises(NotPrimitive, match=r"^ray \(1, 0, 5\) is not a primitive vector of Z\^2$"):
         Fan([(1, 0, 5), (0, 1), (-1, -1)])
+    # a ray that is not a sequence is refused with the same error
+    with pytest.raises(NotPrimitive, match="^ray 1 is not a sequence of exact integers$"):
+        Fan([1, 2, 3])
     with pytest.raises(NotCounterclockwise):
         Fan([(0, 1), (1, 0), (-1, -1)])
     with pytest.raises(NotSmooth):

@@ -173,6 +173,9 @@ def test_invalid_kahler_data():
         KahlerSpec(fan, 1, [(0,), (0,)])  # row count
     with pytest.raises(InvalidKahlerData, match=r"^row \(0,\) does not have 2 entries$"):
         KahlerSpec(fan, 2, [(0,), (0,), (1,)])  # row width
+    for k in (1.0, True, -1):  # the parameter count is a non-negative int
+        with pytest.raises(InvalidKahlerData, match=f"^parameter count {k} is not"):
+            KahlerSpec(fan, k, [(1,), (1,), (1,)])
     with pytest.raises(InvalidKahlerData, match="^no small positive integer point"):
         # a valid t-form mix that is never positive: c3 with the wrong sign
         KahlerSpec(fan, 1, [(0,), (0,), (-1,)])

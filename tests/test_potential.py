@@ -12,6 +12,7 @@ from sftoric.errors import (
     NonIntegralPairing,
     NotPrimitive,
     NotSemiFano,
+    OutOfRange,
     ParameterMismatch,
 )
 from sftoric.fan import Fan
@@ -26,6 +27,7 @@ from sftoric.potential import (
     z_beta,
 )
 from sftoric.surfaces import BUNDLED, BUNDLED_NON_FANO, load_bundled
+from sftoric.verifier import default_q_sample, jac_dimension
 
 
 def dc(fan, i, **mult):
@@ -145,22 +147,23 @@ def test_bulk_errors(bundled):
         bulk_superpotential(spec, 0, (1, 0))
 
 
-@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@settings(max_examples=72, derandomize=True, database=None, deadline=None)
 @given(
     name=st.sampled_from(sorted(BUNDLED)),
-    site=st.sampled_from(["ray", "row", "psi divisor", "bulk constant", "bulk divisor"]),
     bad=st.sampled_from([0.5, "1", None, Fraction(1, 2)]),
     data=st.data(),
 )
-def test_entries_must_be_exact(name, site, bad, data):
+def test_entries_must_be_exact(name, bad, data):
     # one entry swapped for a float, a str or None raises the site's
     # ToricError, and so does a non-integral Fraction where an integer is
-    # needed; the same entry as an integral Fraction builds what the int builds
+    # needed; the same entry as an integral Fraction builds what the int builds.
+    # Every site is checked in every example, at its own drawn entry.
     fan, spec = load_bundled(name)
     d, k = fan.d, spec.k
     ints = data.draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d))
     a = data.draw(st.integers(-2, 2))
-    sites = {  # entries, what they build as a string, error if not exact, error for 1/2
+    disk, w = enumerate_admissible(fan)[-1], superpotential(spec).w
+    sites = {  # entries, what they build, error if not exact, error for 1/2
         "ray": (
             [x for v in fan.rays for x in v],
             lambda e: repr(Fan(zip(e[::2], e[1::2])).rays),
@@ -191,21 +194,48 @@ def test_entries_must_be_exact(name, site, bad, data):
             ParameterMismatch,
             NonIntegralPairing,
         ),
+        "q-sample": (
+            list(default_q_sample(k)),
+            lambda e: jac_dimension(spec, e),
+            ParameterMismatch,
+            None,
+        ),
+        "exponent": (
+            ints[:k],
+            lambda e: repr(QPoly.monomial(k, e)),
+            ParameterMismatch,
+            ParameterMismatch,
+        ),
+        "coefficient": (  # QPoly.constant takes the first entry, scale the second
+            [a, ints[0]],
+            lambda e: (repr(QPoly.constant(k, e[0])), canonical_string(w.scale(e[1]))),
+            ParameterMismatch,
+            None,
+        ),
+        "disk class": (
+            [disk.i, *disk.alpha],
+            lambda e: open_gw(fan, DiskClass(e[0], tuple(e[1:]))),
+            ParameterMismatch,
+            ParameterMismatch,
+        ),
     }
-    entries, build, error, half_error = sites[site]
-    pos = data.draw(st.integers(0, len(entries) - 1))
+    for site, (entries, build, error, half_error) in sites.items():
+        pos = data.draw(st.integers(0, len(entries) - 1))
 
-    def swapped(x):
-        return build([x if n == pos else e for n, e in enumerate(entries)])
+        def swapped(x):
+            return build([x if n == pos else e for n, e in enumerate(entries)])
 
-    assert swapped(Fraction(entries[pos])) == build(entries)
-    if isinstance(bad, Fraction):
-        error = half_error
-    if error is None:
-        swapped(bad)  # a rational entry is accepted here
-    else:
-        with pytest.raises(error):
-            swapped(bad)
+        assert swapped(Fraction(entries[pos])) == build(entries), site
+        if isinstance(bad, Fraction):
+            error = half_error
+        if error is None:
+            try:
+                swapped(bad)  # a rational entry is accepted here
+            except OutOfRange:
+                assert site == "q-sample"  # q = 1/2 may leave the open Kahler cone
+        else:
+            with pytest.raises(error):
+                swapped(bad)
 
 
 def _psi_cases(spec):

@@ -213,6 +213,9 @@ def test_verify_homomorphism_explicit_sample(bundled):
     report = verify_homomorphism(spec, [Fraction(1, 3), Fraction(1, 5)])
     assert report.passed
     assert report.q_sample == (Fraction(1, 3), Fraction(1, 5))
+    # a float q-value is refused, not read as its binary fraction
+    with pytest.raises(ParameterMismatch, match="^q-sample "):
+        verify_homomorphism(spec, (0.1, Fraction(1, 3)))
 
 
 def test_verify_homomorphism_p2_raises(bundled):
