@@ -65,12 +65,8 @@ def cmd_check(args) -> int:
     semi = fan.is_semi_fano()
     print(f"semi-Fano: {'yes' if semi else 'no'}")
     if semi:
-        chains = fan.minus_two_chains()
-        if chains:
-            body = " ".join("[" + " ".join(map(str, c)) + "]" for c in chains)
-            print(f"(-2)-chains: {body}")
-        else:
-            print("(-2)-chains: none")
+        chains = " ".join("[" + " ".join(map(str, c)) + "]" for c in fan.minus_two_chains())
+        print(f"(-2)-chains: {chains or 'none'}")
         print(f"Fano: {'yes' if fan.is_fano() else 'no'}")
     return 0
 
@@ -124,15 +120,10 @@ def cmd_verify(args) -> int:
 
 def cmd_classify(args) -> int:
     fans = classify_semi_fano(args.max_rays)
-    n_fano = 0
     for fan in fans:
         rays = " ".join(f"({v[0]},{v[1]})" for v in fan.rays)
-        tag = ""
-        if fan.is_fano():
-            n_fano += 1
-            tag = "  [Fano]"
-        print(f"{fan.d} rays: {rays}{tag}")
-    print(f"{len(fans)} classes, {n_fano} Fano")
+        print(f"{fan.d} rays: {rays}{'  [Fano]' if fan.is_fano() else ''}")
+    print(f"{len(fans)} classes, {sum(fan.is_fano() for fan in fans)} Fano")
     return 0
 
 
@@ -198,10 +189,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ToricError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError, ZeroDivisionError) as exc:
+    except (ToricError, OSError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -20,9 +20,9 @@ index two has n_b = 0.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator
 
 from .errors import ParameterMismatch, WrongMaslov
 from .fan import Fan, _per_fan

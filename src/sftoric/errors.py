@@ -8,8 +8,8 @@ class ToricError(Exception):
 # --- fan validation ---
 
 class NotPrimitive(ToricError):
-    """A ray generator is not a sequence of exact integers (ints or integral
-    Fractions), or is not a primitive vector of Z^2."""
+    """The rays are not a sequence, or a ray generator is not a sequence of
+    exact integers (ints or integral Fractions) or not a primitive vector of Z^2."""
 
 
 class NotCounterclockwise(ToricError):
@@ -25,10 +25,6 @@ class NotComplete(ToricError):
     rays are asked for."""
 
 
-class FullCycle(ToricError):
-    """Every divisor has self-intersection -2; no complete smooth fan does."""
-
-
 # --- polytope / Kahler data ---
 
 class DegenerateEdge(ToricError):
@@ -36,17 +32,19 @@ class DegenerateEdge(ToricError):
 
 
 class InvalidKahlerData(ToricError):
-    """A parameter count k that is not an int >= 0, rows that do not fit the fan
-    or are not exact integers, or no grid point t makes every edge positive."""
+    """A parameter count k that is not an int >= 0, rows that are not a sequence,
+    do not fit the fan or are not exact integers, or no grid point t makes every
+    edge positive."""
 
 
 # --- mismatched inputs ---
 
 class ParameterMismatch(ToricError):
-    """Inputs that do not match: parameter counts, fan vs KahlerSpec, a vector
-    without one entry per ray, a basic index off 1..d, or an inexact value: a
-    float, str or None where an int or a Fraction is needed, or a non-integer
-    in an exponent vector, a disk class or a curve class."""
+    """Inputs that do not match: parameter counts, fan vs KahlerSpec, a class
+    vector that is not a sequence with one entry per ray, a basic index off
+    1..d, an exponent vector that is not a sequence, or an inexact value: a
+    float, str or None where an int or a Fraction is needed (as in solve_linear),
+    or a non-integer in an exponent vector, a disk or curve class or an index."""
 
 
 class OutOfRange(ToricError):

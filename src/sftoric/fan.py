@@ -9,12 +9,11 @@ cyclic order along the chain.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from functools import wraps
 from math import gcd
-from typing import Iterable, Sequence
 
 from .errors import (
-    FullCycle,
     NotComplete,
     NotCounterclockwise,
     NotPrimitive,
@@ -46,7 +45,9 @@ class Fan:
     # _memo: what _per_fan built from the rays (canonical form, chains, disk and curve classes)
     __slots__ = ("rays", "_memo")
 
-    def __init__(self, rays: Iterable[Sequence[int]]):
+    def __init__(self, rays: Sequence[Sequence[int]]):
+        if not isinstance(rays, Sequence):
+            raise NotPrimitive(f"rays {rays!r} are not a sequence")
         rays = tuple(_exact(v, "ray", NotPrimitive, integral=True) for v in rays)
         for v in rays:
             if len(v) != 2 or v == (0, 0) or gcd(abs(v[0]), abs(v[1])) != 1:
@@ -117,9 +118,8 @@ class Fan:
         """
         s = self.self_intersections()
         d = self.d
-        if all(x == -2 for x in s):
-            raise FullCycle("every divisor has self-intersection -2")
-        # start scanning just after some non-(-2) ray so runs never split
+        # start scanning just after some non-(-2) ray so runs never split; one
+        # exists, as all D_i^2 = -2 gives v_i = v_0 + i(v_1 - v_0), never closing
         start = next(k for k in range(d) if s[k] != -2)
         chains: list[tuple[int, ...]] = []
         run: list[int] = []
@@ -198,6 +198,7 @@ def classify_semi_fano(max_rays: int = 9) -> list[Fan]:
     nothing), and the first of each canonical form is kept as Fan(form) with
     its d blowups pushed.  Output is sorted by ray count, then by encoding.
     """
+    (max_rays,) = _exact((max_rays,), "max_rays", integral=True)
     if max_rays < 3:
         raise NotComplete("max_rays must be at least 3")
     classes: dict[tuple, Fan] = {}

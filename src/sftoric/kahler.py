@@ -19,8 +19,8 @@ strictly positive length.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from itertools import product
-from typing import Sequence
 
 from .errors import DegenerateEdge, InvalidKahlerData
 from .fan import Fan
@@ -52,6 +52,8 @@ class KahlerSpec:
     def __init__(self, fan: Fan, k: int, rows: Sequence[Sequence[int]], name: str = ""):
         if type(k) is not int or k < 0:
             raise InvalidKahlerData(f"parameter count {k!r} is not a non-negative int")
+        if not isinstance(rows, Sequence):
+            raise InvalidKahlerData(f"rows {rows!r} are not a sequence")
         rows = tuple(_exact(row, "row", InvalidKahlerData, integral=True) for row in rows)
         if len(rows) != fan.d:
             raise InvalidKahlerData(

@@ -31,9 +31,9 @@ the small coefficients that the quantum relations and psi hold.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from operator import add
-from typing import Mapping, Sequence
 
 from .errors import OutOfRange, ParameterMismatch
 
@@ -243,7 +243,8 @@ class QPoly(_Sparse):
 
     @staticmethod
     def monomial(k: int, exps: Sequence[int], c=1) -> "QPoly":
-        return QPoly(k, {tuple(exps): c})
+        e = exps if type(exps) is tuple else _exact(exps, "exponent vector", integral=True)
+        return QPoly(k, {e: c})
 
     def specialize(self, qvals: Sequence) -> Fraction:
         qvals = _q_values(qvals, self.k)
@@ -278,11 +279,16 @@ class LaurentPoly(_Sparse):
     def monomial(k: int, zexp: Sequence[int], coeff: QPoly | None = None) -> "LaurentPoly":
         if coeff is None:
             coeff = QPoly.one(k)
-        return LaurentPoly(k, {tuple(zexp): coeff})
+        e = zexp if type(zexp) is tuple else _exact(zexp, "exponent vector", integral=True)
+        return LaurentPoly(k, {e: coeff})
 
     def coefficient(self, zexp: Sequence[int]) -> QPoly:
+        """The coefficient of z^zexp; ParameterMismatch unless zexp is two exact integers."""
+        zexp = _exact(zexp, "exponent vector", integral=True)
+        if len(zexp) != 2:
+            raise ParameterMismatch(f"exponent vector {zexp} does not have length 2")
         try:
-            return self._coeffs[self._exps.index(tuple(zexp))]
+            return self._coeffs[self._exps.index(zexp)]
         except ValueError:
             return QPoly.zero(self.k)
 
@@ -290,6 +296,7 @@ class LaurentPoly(_Sparse):
 
     def log_derivative(self, j: int) -> "LaurentPoly":
         """z_j * d/dz_j: each term c * z^e goes to (e_j * c) * z^e."""
+        (j,) = _exact((j,), "log-derivative index", integral=True)
         if j not in (1, 2):
             raise OutOfRange("j must be 1 or 2")
         terms = zip(self._exps, self._coeffs)

@@ -18,8 +18,8 @@ Kodaira-Spencer map of Fukaya-Oh-Ohta-Ono (arXiv:0810.5654).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from .disks import DiskClass, enumerate_admissible
 from .errors import NonIntegralPairing, ParameterMismatch

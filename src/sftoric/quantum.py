@@ -32,8 +32,8 @@ sum_{c1(a)=1} (D_i.a)(D_j.a) GW(a) q^a [a] and no dual basis is needed.  Each
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 from .disks import enumerate_admissible
 from .errors import IsP2, NotPrimitivePair, ParameterMismatch, WrongChern
@@ -63,13 +63,8 @@ def primitive_pairs(fan: Fan) -> list[tuple[int, int]]:
     d = fan.d
     if d == 3:
         raise IsP2("P^2 has no two-element primitive collections")
-    out = []
-    for i in range(1, d + 1):
-        for j in range(i + 1, d + 1):
-            if (j - i) % d in (1, d - 1):
-                continue
-            out.append((i, j))
-    return out
+    # i < j are adjacent when j - i is 1 or d - 1
+    return [(i, j) for i in range(1, d + 1) for j in range(i + 2, d + 1) if j - i != d - 1]
 
 
 def _runs_from(chain: tuple[int, ...], a: int) -> list[tuple[int, ...]]:
@@ -229,9 +224,10 @@ def quantum_product(fan: Fan, spec: KahlerSpec, i: int, j: int) -> QHElement:
     Poincare duality; [a] is reduced modulo linear equivalence.  Checks the
     pair against ``primitive_pairs`` (IsP2 on P^2) and builds it alone from
     ``_curve_data``, as ``quantum_sr_relations`` does.  Raises
-    ParameterMismatch when fan is not spec.fan.
+    ParameterMismatch when fan is not spec.fan or i, j are not exact integers.
     """
     _check_supported(fan, spec)
+    i, j = _exact((i, j), "ray index pair", integral=True)
     d = fan.d
     i0, j0 = (i - 1) % d + 1, (j - 1) % d + 1
     if (min(i0, j0), max(i0, j0)) not in primitive_pairs(fan):

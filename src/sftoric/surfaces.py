@@ -17,7 +17,7 @@ polytopes transcribed from the classification tables.
 
 from __future__ import annotations
 
-from importlib import resources
+import os
 
 from .errors import SurfaceSyntaxError
 from .fan import Fan
@@ -93,7 +93,9 @@ def parse_surface_file(path) -> tuple[Fan, KahlerSpec]:
 def bundled_text(name: str) -> str:
     if name not in BUNDLED:
         raise KeyError(f"no bundled surface named {name!r}")
-    return resources.files("sftoric").joinpath(f"data/{name}.fan").read_text("utf-8")
+    path = os.path.join(os.path.dirname(__file__), "data", f"{name}.fan")
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
 
 
 def load_bundled(name: str) -> tuple[Fan, KahlerSpec]:

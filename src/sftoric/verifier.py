@@ -36,10 +36,10 @@ both checks against a Groebner-basis reference.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
-from typing import Sequence
 
 from .errors import IsP2, OutOfRange
 from .fan import Fan

@@ -1,17 +1,18 @@
 import copy
 import pickle
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 from sftoric.disks import enumerate_admissible
 from sftoric.errors import (
-    FullCycle,
     NotComplete,
     NotCounterclockwise,
     NotPrimitive,
     NotSmooth,
+    ParameterMismatch,
 )
 from sftoric.fan import (
     F0_RAYS,
@@ -46,6 +47,10 @@ def test_validate_examples():
     # a ray that is not a sequence is refused with the same error
     with pytest.raises(NotPrimitive, match="^ray 1 is not a sequence of exact integers$"):
         Fan([1, 2, 3])
+    # so are rays that are not a sequence: a set has no cyclic order
+    for rays in (5, set(F0_RAYS), dict.fromkeys(F0_RAYS)):
+        with pytest.raises(NotPrimitive, match="^rays .* are not a sequence$"):
+            Fan(rays)
     with pytest.raises(NotCounterclockwise):
         Fan([(0, 1), (1, 0), (-1, -1)])
     with pytest.raises(NotSmooth):
@@ -135,18 +140,6 @@ def test_minus_two_chain_geometry(bundled):
                 assert u[0] * w[1] - u[1] * w[0] == 0, name
 
 
-def test_full_cycle_guard():
-    # no complete smooth fan has all self-intersections -2 (the heads would be
-    # collinear and could not wrap), so the guard is reachable only through
-    # doctored data
-    class Doctored(Fan):
-        def self_intersection(self, i):
-            return -2
-
-    with pytest.raises(FullCycle):
-        Doctored(X3_RAYS).minus_two_chains()
-
-
 def test_blowup_examples():
     p2 = Fan(P2_RAYS)
     f1 = p2.blowup(1)
@@ -189,8 +182,12 @@ def test_classify_small():
     assert len(classify_semi_fano(3)) == 1
     with pytest.raises(NotComplete, match="max_rays must be at least 3"):
         classify_semi_fano(2)
+    for bad in ("9", 9.0, Fraction(19, 2), None):  # the bound is an exact integer
+        with pytest.raises(ParameterMismatch, match="^max_rays"):
+            classify_semi_fano(bad)
     four = classify_semi_fano(4)
     assert len(four) == 4
+    assert classify_semi_fano(Fraction(4)) == four
     # oracle: every 4-ray complete smooth fan is some F_m (normalize the first
     # two rays to (1,0),(0,1); then v3=(-1,m), v4=(x,-1) with m*x = 0), so the
     # semi-Fano ones up to isomorphism are F_0, F_1, F_2 plus P^2 from level 3

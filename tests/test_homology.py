@@ -151,6 +151,18 @@ def test_class_vectors_must_have_one_entry_per_ray(bundled):
             profile(f0, x)
         with pytest.raises(ParameterMismatch):
             chern_number(f0, x)
+    # a vector that is not a sequence is refused before its length is read;
+    # a set of four entries would be paired in no fixed order
+    for x in (5, {1, 2, 3, 4}, dict.fromkeys(range(4), 1)):
+        for call in (
+            lambda: pair(f0, x, (1, 0, 0, 0)),
+            lambda: pair(f0, (1, 0, 0, 0), x),
+            lambda: profile(f0, x),
+            lambda: chern_number(f0, x),
+            lambda: reduce_class(f0, x),
+        ):
+            with pytest.raises(ParameterMismatch, match="is not a sequence$"):
+                call()
     assert pair(f0, (1, 0, 0, 0), (0, 1, 0, 0)) == 1
     assert profile(f0, (1, 0, 0, 0)) == (0, 1, 0, 1)
 

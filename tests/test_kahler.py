@@ -173,6 +173,10 @@ def test_invalid_kahler_data():
         KahlerSpec(fan, 1, [(0,), (0,)])  # row count
     with pytest.raises(InvalidKahlerData, match=r"^row \(0,\) does not have 2 entries$"):
         KahlerSpec(fan, 2, [(0,), (0,), (1,)])  # row width
+    # rows that are not a sequence: a set has no order and drops repeated rows
+    for rows in (5, {(1,), (2,), (3,)}, iter([(1,), (1,), (1,)])):
+        with pytest.raises(InvalidKahlerData, match="^rows .* are not a sequence$"):
+            KahlerSpec(fan, 1, rows)
     for k in (1.0, True, -1):  # the parameter count is a non-negative int
         with pytest.raises(InvalidKahlerData, match=f"^parameter count {k} is not"):
             KahlerSpec(fan, k, [(1,), (1,), (1,)])
@@ -189,6 +193,9 @@ def test_curve_area_length_mismatch(bundled):
     _, x3 = bundled["X3"]
     with pytest.raises(ParameterMismatch):
         x3.curve_area((1, 0))
+    for alpha in (5, {1, 2, 3, 4, 5, 6}):  # not a sequence
+        with pytest.raises(ParameterMismatch, match="is not a sequence$"):
+            x3.curve_area(alpha)
 
 
 def test_kahler_spec_copy_and_pickle_round_trip(bundled):

@@ -56,6 +56,25 @@ def test_parameter_mismatch():
         QPoly.one(1) + QPoly.one(2)
     with pytest.raises(ParameterMismatch):
         LaurentPoly.constant(1, 1) * LaurentPoly.constant(2, 1)
+    # an exponent vector is a sequence: a set or a dict has no order
+    for exps in (5, {5: "a", 7: "b"}, {1, 2}):
+        with pytest.raises(ParameterMismatch, match="^exponent vector .* is not a sequence"):
+            QPoly.monomial(2, exps)
+        with pytest.raises(ParameterMismatch, match="^exponent vector .* is not a sequence"):
+            LaurentPoly.monomial(2, exps)
+    # a coefficient is looked up at exactly two exact integers
+    z1 = LaurentPoly.monomial(0, [1, 0])
+    assert z1.coefficient([1, 0]) == z1.coefficient((Fraction(1), 0)) == QPoly.one(0)
+    for key in ((1,), (1, 0, 0), 5, {1, 0}, (1.0, 0), ("1", 0)):
+        with pytest.raises(ParameterMismatch, match="^exponent vector"):
+            z1.coefficient(key)
+    # the log-derivative index is an exact integer; an int off 1, 2 is out of range
+    assert z1.log_derivative(Fraction(1)) == z1
+    for j in (1.0, "1", None, Fraction(1, 2)):
+        with pytest.raises(ParameterMismatch, match="^log-derivative index"):
+            z1.log_derivative(j)
+    with pytest.raises(OutOfRange):
+        z1.log_derivative(0)
 
 
 def test_ring_axioms_randomized():

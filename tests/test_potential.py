@@ -16,7 +16,7 @@ from sftoric.errors import (
     ParameterMismatch,
 )
 from sftoric.fan import Fan
-from sftoric.homology import linear_relations, unit_vector
+from sftoric.homology import linear_relations, solve_linear, unit_vector
 from sftoric.kahler import KahlerSpec
 from sftoric.laurent import LaurentPoly, QPoly, canonical_string
 from sftoric.potential import (
@@ -166,7 +166,7 @@ def test_entries_must_be_exact(name, bad, data):
     sites = {  # entries, what they build, error if not exact, error for 1/2
         "ray": (
             [x for v in fan.rays for x in v],
-            lambda e: repr(Fan(zip(e[::2], e[1::2])).rays),
+            lambda e: repr(Fan(list(zip(e[::2], e[1::2]))).rays),
             NotPrimitive,
             NotPrimitive,
         ),
@@ -209,6 +209,18 @@ def test_entries_must_be_exact(name, bad, data):
         "coefficient": (  # QPoly.constant takes the first entry, scale the second
             [a, ints[0]],
             lambda e: (repr(QPoly.constant(k, e[0])), canonical_string(w.scale(e[1]))),
+            ParameterMismatch,
+            None,
+        ),
+        "coefficient key": (
+            list(fan.ray(1)),
+            lambda e: repr(w.coefficient(e)),
+            ParameterMismatch,
+            ParameterMismatch,
+        ),
+        "linear system": (  # the entries of [M | B], two rows
+            [*ints[:2], a, *ints[-2:], 1],
+            lambda e: solve_linear([e[0:2], e[3:5]], [e[2:3], e[5:6]]),
             ParameterMismatch,
             None,
         ),

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -246,6 +247,13 @@ def test_quantum_product_errors(bundled):
         quantum_product(fan, spec, 1, 2)
     with pytest.raises(NotPrimitivePair):
         quantum_product(fan, spec, 3, 3)
+    # the indices are exact integers; an integral Fraction is its int
+    assert quantum_product(fan, spec, Fraction(2), 4) == quantum_product(fan, spec, 2, 4)
+    for i in (2.0, "2", None, Fraction(5, 2)):
+        with pytest.raises(ParameterMismatch, match="^ray index pair"):
+            quantum_product(fan, spec, i, 4)
+        with pytest.raises(ParameterMismatch, match="^ray index pair"):
+            quantum_product(fan, spec, 4, i)
     p2fan, p2spec = bundled["P2"]
     with pytest.raises(IsP2):
         quantum_product(p2fan, p2spec, 1, 2)
