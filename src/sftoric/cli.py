@@ -20,7 +20,7 @@ from .laurent import canonical_string, term_string
 from .potential import bulk_superpotential, hori_vafa, psi_divisor, superpotential
 from .quantum import QHElement, quantum_sr_relations
 from .surfaces import BUNDLED, BUNDLED_NON_FANO, load_bundled, parse_surface_file
-from .verifier import verify_homomorphism, verify_linear_identity
+from .verifier import _q_sample, verify_homomorphism, verify_linear_identity
 
 
 # an integer, a/b or a plain decimal; Fraction would also expand exponents
@@ -106,6 +106,7 @@ def cmd_verify(args) -> int:
     qvals = None if args.q is None else [_rational(v, "--q") for v in args.q.split(",")]
     fan, spec = _load(args.file)
     if fan.d == 3:
+        _q_sample(spec, qvals)  # --q is checked as for the other surfaces
         ok = verify_linear_identity(spec)
         print(f"surface {spec.name}")
         print(f"linear-identity {'PASS' if ok else 'FAIL'}")

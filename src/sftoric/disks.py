@@ -20,8 +20,8 @@ index two has n_b = 0.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 from itertools import product
 
 from .errors import ParameterMismatch, WrongMaslov
@@ -30,12 +30,10 @@ from .homology import chern_number, profile
 from .laurent import _exact
 
 
-@dataclass(frozen=True, slots=True)
-class DiskClass:
-    """beta_i + sum_k alpha[k-1] D_k with a 1-based basic index i."""
+class DiskClass(namedtuple("DiskClass", "i alpha")):
+    """beta_i + sum_k alpha[k-1] D_k: a 1-based basic index i and an int tuple alpha."""
 
-    i: int
-    alpha: tuple[int, ...]
+    __slots__ = ()
 
     @staticmethod
     def basic(fan: Fan, i: int) -> "DiskClass":

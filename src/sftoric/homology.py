@@ -6,7 +6,8 @@ class iff they differ by the span of the linear-equivalence relations
 L_j = sum_i v_i^j D_i.  The intersection pairing descends to H^2 and the
 pairing profile against all D_i separates classes, which is how equality and
 membership tests are implemented.  The functions taking class vectors raise
-ParameterMismatch for a vector that is not a sequence with one entry per ray.
+ParameterMismatch for a vector that is not a sequence with one entry per ray
+(text and bytes do not count as sequences).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from math import gcd, lcm
 
 from .errors import ParameterMismatch
 from .fan import Fan, det
-from .laurent import _exact
+from .laurent import _TEXT, _exact
 
 Vector = tuple
 
@@ -40,7 +41,8 @@ def gram_matrix(fan: Fan) -> list[list[int]]:
 
 def _check_length(fan: Fan, *vectors: Sequence) -> None:
     for x in vectors:
-        if type(x) is not tuple and not isinstance(x, Sequence):  # a tuple skips the slow ABC test
+        # a tuple skips the slow ABC test; text and bytes are no class vectors
+        if type(x) is not tuple and (not isinstance(x, Sequence) or isinstance(x, _TEXT)):
             raise ParameterMismatch(f"class vector {x!r} is not a sequence")
         if len(x) != fan.d:
             raise ParameterMismatch(f"class vector with {len(x)} entries for {fan.d} rays")
@@ -100,7 +102,7 @@ def solve_linear(matrix: Sequence[Sequence], rhs: Sequence[Sequence]):
     n, m = len(matrix), len(matrix[0])
     aug = []
     for r in range(n):
-        vals = _exact((*matrix[r], *rhs[r]), "row of [M | B]")
+        vals = _exact(matrix[r], "row of M") + _exact(rhs[r], "row of B")
         scale = lcm(*(v.denominator for v in vals))
         aug.append([v.numerator * (scale // v.denominator) for v in vals])
     pivots: list[int] = []

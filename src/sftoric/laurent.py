@@ -40,6 +40,7 @@ from .errors import OutOfRange, ParameterMismatch
 QExp = tuple[int, ...]
 ZExp = tuple[int, int]
 Coeff = int | Fraction
+_TEXT = (str, bytes, bytearray, memoryview)  # sequences, but not of numbers
 
 
 def _integral(v):
@@ -51,9 +52,10 @@ def _exact(xs, what: str, error: type = ParameterMismatch, integral: bool = Fals
     """xs as a tuple of ints and Fractions (an integral one as an int), else raise error.
 
     The package's one exactness rule: xs must be a sequence of ints and
-    Fractions, of exact integers when integral is set; nothing is coerced.
+    Fractions, of exact integers when integral is set, and not text or bytes;
+    nothing is coerced.
     """
-    if isinstance(xs, Sequence) and all(
+    if isinstance(xs, Sequence) and not isinstance(xs, _TEXT) and all(
         isinstance(x, (int, Fraction)) and (not integral or x.denominator == 1) for x in xs
     ):
         return tuple(x.numerator if x.denominator == 1 else x for x in xs)
@@ -312,6 +314,9 @@ class LaurentPoly(_Sparse):
             if c:
                 out[ze] = _make(QPoly, 0, ((),), (_integral(c),))
         return _from_dict(LaurentPoly, 0, out)
+
+    def __repr__(self) -> str:
+        return f"LaurentPoly({canonical_string(self)!r})"
 
 
 # --- canonical rendering ---

@@ -18,8 +18,8 @@ Kodaira-Spencer map of Fukaya-Oh-Ohta-Ono (arXiv:0810.5654).
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 
 from .disks import DiskClass, enumerate_admissible
 from .errors import NonIntegralPairing, ParameterMismatch
@@ -36,12 +36,10 @@ def z_beta(spec: KahlerSpec, b: DiskClass) -> LaurentPoly:
     return LaurentPoly.monomial(spec.k, spec.fan.ray(b.i), QPoly.monomial(spec.k, exps))
 
 
-@dataclass(slots=True)
-class Superpotential:
-    """The potential together with one provenance record per counted class."""
+class Superpotential(namedtuple("Superpotential", "w classes")):
+    """The potential w with classes, one (DiskClass, Z_b) record per counted class."""
 
-    w: LaurentPoly
-    classes: list[tuple[DiskClass, LaurentPoly]] = field(default_factory=list)
+    __slots__ = ()
 
 
 def superpotential(spec: KahlerSpec) -> Superpotential:
@@ -85,16 +83,15 @@ def psi_divisor(spec: KahlerSpec, D: Sequence) -> LaurentPoly:
     return sum(terms, LaurentPoly.zero(spec.k))
 
 
-@dataclass
-class BulkPotential:
+class BulkPotential(namedtuple("BulkPotential", "parts")):
     """Potential deformed by a divisor bulk class, grouped by pairing value.
 
-    ``parts[m]`` collects the Z_b with <b, D> = m, so the potential reads
-    sum_m exp(m) * parts[m] plus the constant already folded into parts[0].
-    The symbol exp(m) is kept formal.
+    The dict ``parts[m]`` collects the Z_b with <b, D> = m, so the potential
+    reads sum_m exp(m) * parts[m] plus the constant already folded into
+    parts[0].  The symbol exp(m) is kept formal.
     """
 
-    parts: dict[int, LaurentPoly]
+    __slots__ = ()
 
     def canonical_string(self) -> str:
         if not self.parts:

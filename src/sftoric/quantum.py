@@ -32,8 +32,8 @@ sum_{c1(a)=1} (D_i.a)(D_j.a) GW(a) q^a [a] and no dual basis is needed.  Each
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from .disks import enumerate_admissible
 from .errors import IsP2, NotPrimitivePair, ParameterMismatch, WrongChern
@@ -43,19 +43,14 @@ from .kahler import KahlerSpec
 from .laurent import QPoly, _exact
 
 
-@dataclass(slots=True)
-class QHElement:
+class QHElement(namedtuple("QHElement", "scalar divisor")):
     """scalar * 1 + sum_k divisor[k-1] * D_k with QPoly coefficients.
 
-    The divisor vector is stored as the canonical representative modulo the
+    The divisor tuple is stored as the canonical representative modulo the
     linear-equivalence classes (its last two coordinates are zero).
     """
 
-    scalar: QPoly
-    divisor: tuple[QPoly, ...]
-
-    def is_zero(self) -> bool:
-        return self.scalar.is_zero() and all(c.is_zero() for c in self.divisor)
+    __slots__ = ()
 
 
 def primitive_pairs(fan: Fan) -> list[tuple[int, int]]:

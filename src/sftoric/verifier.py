@@ -36,8 +36,8 @@ both checks against a Groebner-basis reference.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 
@@ -154,22 +154,21 @@ def default_q_sample(k: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(1, p) for p in primes)
 
 
-@dataclass(slots=True)
-class VerificationReport:
+_REPORT_FIELDS = (
+    "surface q_sample linear_identity relations dimension expected_dimension samples_tried"
+)
+
+
+class VerificationReport(namedtuple("VerificationReport", _REPORT_FIELDS)):
     """Line-oriented record of the QH = Jac verification for one surface.
 
-    ``samples_tried`` lists the sample the checks ran at; it has one entry,
-    since a failed check is final and the default sample is chosen in the
-    cone before any check runs.
+    ``relations`` lists ((i, j), membership ok) per primitive pair and
+    ``dimension`` is dim Jac(W) or None.  ``samples_tried`` lists the sample
+    the checks ran at; it has one entry, since a failed check is final and
+    the default sample is chosen in the cone before any check runs.
     """
 
-    surface: str
-    q_sample: tuple[Fraction, ...]
-    linear_identity: bool
-    relations: list[tuple[tuple[int, int], bool]]
-    dimension: int | None
-    expected_dimension: int
-    samples_tried: list[tuple[Fraction, ...]] = field(default_factory=list)
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

@@ -348,6 +348,10 @@ def test_cli_verify_p2(capsys):
     rc, out, _ = run(capsys, "verify", "P2")
     assert rc == 0
     assert "out of scope" in out
+    # --q is checked as for every other surface: one value in (0, 1)
+    assert run(capsys, "verify", "P2", "--q", "1/3") == (rc, out, "")
+    assert run(capsys, "verify", "P2", "--q", "7") == (2, "", "error: q value 7 is not in (0, 1)\n")
+    assert run(capsys, "verify", "P2", "--q", "1/2,1/3") == (2, "", "error: 2 values for k=1\n")
 
 
 def test_cli_classify(capsys):

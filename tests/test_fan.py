@@ -47,6 +47,10 @@ def test_validate_examples():
     # a ray that is not a sequence is refused with the same error
     with pytest.raises(NotPrimitive, match="^ray 1 is not a sequence of exact integers$"):
         Fan([1, 2, 3])
+    # bytes iterate as ints, but a ray given as text or bytes is refused too
+    for ray in (b"\x01\x00", bytearray(b"\x01\x00"), memoryview(b"\x01\x00"), "10"):
+        with pytest.raises(NotPrimitive, match="^ray .* is not a sequence of exact integers$"):
+            Fan([ray, (0, 1), (-1, -1)])
     # so are rays that are not a sequence: a set has no cyclic order
     for rays in (5, set(F0_RAYS), dict.fromkeys(F0_RAYS)):
         with pytest.raises(NotPrimitive, match="^rays .* are not a sequence$"):

@@ -152,8 +152,11 @@ def test_class_vectors_must_have_one_entry_per_ray(bundled):
         with pytest.raises(ParameterMismatch):
             chern_number(f0, x)
     # a vector that is not a sequence is refused before its length is read;
-    # a set of four entries would be paired in no fixed order
-    for x in (5, {1, 2, 3, 4}, dict.fromkeys(range(4), 1)):
+    # a set of four entries would be paired in no fixed order, and text or
+    # bytes of four characters is no class vector either
+    unit = b"\x01\x00\x00\x00"
+    for x in (5, {1, 2, 3, 4}, dict.fromkeys(range(4), 1),
+              "1000", unit, bytearray(unit), memoryview(unit)):
         for call in (
             lambda: pair(f0, x, (1, 0, 0, 0)),
             lambda: pair(f0, (1, 0, 0, 0), x),

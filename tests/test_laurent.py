@@ -462,15 +462,49 @@ def test_copy_and_pickle_round_trips(bundled):
     import copy
     import pickle
 
-    from sftoric.potential import superpotential
+    from sftoric.disks import DiskClass
+    from sftoric.potential import bulk_superpotential, superpotential
+    from sftoric.quantum import quantum_product
+    from sftoric.verifier import verify_homomorphism
 
     w = superpotential(bundled["X11"][1]).w
     values = [w, w.specialize_q([Fraction(1, 3)] * 7), LaurentPoly.zero(2),
               QPoly.one(3), QPoly.monomial(2, (1, -2), Fraction(-3, 4)), QPoly.zero(0)]
-    for f in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
+    round_trips = (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v)))
+    for f in round_trips:
         for v in values:
             out = f(v)
             assert type(out) is type(v) and out == v and hash(out) == hash(v)
     # the zero QPoly of each k stays the one shared object
     assert pickle.loads(pickle.dumps(QPoly.zero(4))) is QPoly.zero(4)
     assert copy.deepcopy(QPoly.zero(1)) is QPoly.zero(1)
+    # the records: a pinned repr, a round trip and no assignment
+    p2, f0 = bundled["P2"][1], bundled["F0"][1]
+    records = {
+        "DiskClass(i=2, alpha=(0, 1, 0, 0))": DiskClass(2, (0, 1, 0, 0)),
+        "Superpotential(w=LaurentPoly('q1*z1^-1*z2^-1 + z1 + z2'), classes=["
+        "(DiskClass(i=1, alpha=(0, 0, 0)), LaurentPoly('z1')), "
+        "(DiskClass(i=2, alpha=(0, 0, 0)), LaurentPoly('z2')), "
+        "(DiskClass(i=3, alpha=(0, 0, 0)), LaurentPoly('q1*z1^-1*z2^-1'))])": superpotential(p2),
+        "BulkPotential(parts={1: LaurentPoly('z1'), 0: LaurentPoly('q1*z1^-1*z2^-1 + z2')})":
+            bulk_superpotential(p2, 0, (1, 0, 0)),
+        "QHElement(scalar=QPoly('q1'), divisor=(QPoly('0'), QPoly('0'), QPoly('0'), QPoly('0')))":
+            quantum_product(f0.fan, f0, 1, 3),
+        "VerificationReport(surface='F0', q_sample=(Fraction(1, 7), Fraction(1, 11)), "
+        "linear_identity=True, relations=[((1, 3), True), ((2, 4), True)], dimension=4, "
+        "expected_dimension=4, samples_tried=[(Fraction(1, 7), Fraction(1, 11))])":
+            verify_homomorphism(f0),
+    }
+    for text, record in records.items():
+        assert repr(record) == text
+        for f in round_trips:
+            out = f(record)
+            assert type(out) is type(record) and out == record and repr(out) == text
+        first_field = text[text.index("(") + 1 : text.index("=")]
+        with pytest.raises(AttributeError):
+            setattr(record, first_field, None)
+        with pytest.raises(AttributeError):
+            record.extra = None
+    b = DiskClass(2, (0, 1, 0, 0))
+    assert hash(b) == hash((b.i, b.alpha)) == hash(pickle.loads(pickle.dumps(b)))
+    assert repr(LaurentPoly.zero(1)) == "LaurentPoly('0')"

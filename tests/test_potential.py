@@ -248,6 +248,20 @@ def test_entries_must_be_exact(name, bad, data):
         else:
             with pytest.raises(error):
                 swapped(bad)
+    # a whole vector as text or bytes is refused at every vector site, though
+    # bytes iterate as ints: the drawn entries, made non-negative
+    small = [abs(x) for x in ints]
+    for wrap in (bytes, bytearray, lambda v: memoryview(bytes(v)), lambda v: "".join(map(str, v))):
+        for call in (
+            lambda v: psi_divisor(spec, v),
+            lambda v: bulk_superpotential(spec, a, v),
+            lambda v: open_gw(fan, DiskClass(disk.i, v)),
+            lambda v: QPoly.monomial(k, v[:k]),
+            lambda v: w.coefficient(v[:2]),
+            lambda v: solve_linear([v[:2]], [[1]]),
+        ):
+            with pytest.raises(ParameterMismatch):
+                call(wrap(small))
 
 
 def _psi_cases(spec):

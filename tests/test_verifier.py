@@ -485,6 +485,8 @@ for name in BUNDLED:
         code = cli.main(["verify", name])
     spec = load_bundled(name)[1]
     out[name] = [code, buf.getvalue(), jac_dimension(spec, default_q_sample(spec.k))]
+# the records are named tuples: nothing imports dataclasses and its inspect
+assert not {"dataclasses", "inspect"} & set(sys.modules), "dataclasses or inspect loaded"
 print(json.dumps(out))
 """
     env = dict(os.environ)
