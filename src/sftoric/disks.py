@@ -26,7 +26,7 @@ from itertools import product
 
 from .errors import ParameterMismatch, WrongMaslov
 from .fan import Fan, _per_fan
-from .homology import chern_number, profile
+from .homology import chern_number, reduce_class
 from .laurent import _exact
 
 
@@ -84,9 +84,9 @@ def open_gw(fan: Fan, b: DiskClass) -> int:
         raise ParameterMismatch(f"basic index {b.i} is not a ray index 1..{fan.d}")
     if maslov_index(fan, b) != 2:
         raise WrongMaslov(f"class has Maslov index {maslov_index(fan, b)}, not 2")
-    target = profile(fan, b.alpha)
+    target = reduce_class(fan, b.alpha)
     same_i = (a.alpha for a in enumerate_admissible(fan) if a.i == b.i)
-    return 1 if any(profile(fan, alpha) == target for alpha in same_i) else 0
+    return 1 if any(reduce_class(fan, alpha) == target for alpha in same_i) else 0
 
 
 def chain_sequences(chain: tuple[int, ...], i: int) -> Iterator[dict[int, int]]:

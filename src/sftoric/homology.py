@@ -3,9 +3,9 @@
 Classes are plain length-d vectors (int or Fraction entries) in the basis of
 toric prime divisors D_1..D_d; two vectors represent the same (co)homology
 class iff they differ by the span of the linear-equivalence relations
-L_j = sum_i v_i^j D_i.  The intersection pairing descends to H^2 and the
-pairing profile against all D_i separates classes, which is how equality and
-membership tests are implemented.  The functions taking class vectors raise
+L_j = sum_i v_i^j D_i.  Equality and membership compare the canonical
+representative of ``reduce_class``; the pairing profile against all D_i is
+pairing data for the products.  The functions taking class vectors raise
 ParameterMismatch for a vector that is not a sequence with one entry per ray
 (text and bytes do not count as sequences).
 """
@@ -98,11 +98,16 @@ def solve_linear(matrix: Sequence[Sequence], rhs: Sequence[Sequence]):
     column is inconsistent.  Each row of [M | B] is scaled to integers and
     eliminated fraction-free, divided by the gcd of its entries after every
     step; zero entries are skipped, so sparse systems stay cheap.
+    Raises ParameterMismatch unless M has a row, B has one row per row of M,
+    and the rows of each are of one length.
     """
-    n, m = len(matrix), len(matrix[0])
+    rows = [(_exact(a, "row of M"), _exact(b, "row of B")) for a, b in zip(matrix, rhs)]
+    if not rows or len(matrix) != len(rhs) or len({(len(a), len(b)) for a, b in rows}) > 1:
+        raise ParameterMismatch("M x = B needs n >= 1 rows in M and in B, each of one width")
+    n, m = len(rows), len(rows[0][0])
     aug = []
-    for r in range(n):
-        vals = _exact(matrix[r], "row of M") + _exact(rhs[r], "row of B")
+    for a, b in rows:
+        vals = a + b
         scale = lcm(*(v.denominator for v in vals))
         aug.append([v.numerator * (scale // v.denominator) for v in vals])
     pivots: list[int] = []

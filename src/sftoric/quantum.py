@@ -127,8 +127,8 @@ def _classes(fan: Fan) -> dict[int, tuple]:
         for rep in reps:
             assert chern_number(fan, rep) == c1
             assert all(m <= fan.d + 2 for m in rep)  # enumeration stays inside the bound
-            seen.setdefault(profile(fan, rep), rep)
-        curves[c1] = tuple(sorted((r, p, reduce_class(fan, r)) for p, r in seen.items()))
+            seen.setdefault(reduce_class(fan, rep), rep)
+        curves[c1] = tuple(sorted((r, profile(fan, r), canon) for canon, r in seen.items()))
     return curves
 
 
@@ -143,15 +143,15 @@ def c1_one_classes(fan: Fan) -> list[tuple[int, ...]]:
 
 
 def _sphere_count(fan: Fan, alpha: Sequence[int], c1: int) -> int:
-    """1 when alpha has the pairing profile of a class in ``_classes(fan)[c1]``, else 0.
+    """1 when alpha reduces to the canonical rep of a class in ``_classes(fan)[c1]``, else 0.
 
     Raises ParameterMismatch unless alpha is exact and WrongChern unless c_1(alpha) = c1.
     """
     alpha = _exact(alpha, "curve class", integral=True)
     if chern_number(fan, alpha) != c1:
         raise WrongChern(f"c_1(alpha) = {chern_number(fan, alpha)}, expected {c1}")
-    target = profile(fan, alpha)
-    return 1 if any(prof == target for _, prof, _ in _classes(fan)[c1]) else 0
+    target = reduce_class(fan, alpha)
+    return 1 if any(canon == target for _, _, canon in _classes(fan)[c1]) else 0
 
 
 def gw_c1_2_point(fan: Fan, alpha: Sequence[int]) -> int:

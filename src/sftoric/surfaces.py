@@ -31,12 +31,20 @@ BUNDLED = (
 BUNDLED_NON_FANO = BUNDLED[5:]
 
 
+def _ints(fields: list[str], message: str, lineno: int) -> tuple[int, ...]:
+    """The fields as ints, else SurfaceSyntaxError(message) at the line."""
+    try:
+        return tuple(int(f) for f in fields)
+    except ValueError:  # not a decimal integer, or past the interpreter's digit limit
+        raise SurfaceSyntaxError(message, lineno) from None
+
+
 def parse_surface(text: str) -> tuple[Fan, KahlerSpec]:
     """Parse a surface file; errors carry 1-based line numbers."""
     name = None
     k = None
     rays: list[tuple[int, int]] = []
-    rows: list[tuple[int, ...]] = []
+    rows: list[list[int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -51,9 +59,9 @@ def parse_surface(text: str) -> tuple[Fan, KahlerSpec]:
         elif fields[0] == "params":
             if k is not None:
                 raise SurfaceSyntaxError("duplicate params declaration", lineno)
-            if len(fields) != 2 or not fields[1].lstrip("-").isdigit():
+            if len(fields) != 2:
                 raise SurfaceSyntaxError("expected: params K", lineno)
-            k = int(fields[1])
+            (k,) = _ints(fields[1:], "expected: params K", lineno)
             if k < 0:
                 raise SurfaceSyntaxError("params must be nonnegative", lineno)
         elif fields[0] == "ray":
@@ -61,11 +69,7 @@ def parse_surface(text: str) -> tuple[Fan, KahlerSpec]:
                 raise SurfaceSyntaxError("params must come before rays", lineno)
             if len(fields) < 4 or fields[3] != ":":
                 raise SurfaceSyntaxError("expected: ray A B : C1 ... CK", lineno)
-            try:
-                a, b = int(fields[1]), int(fields[2])
-                cs = tuple(int(f) for f in fields[4:])
-            except ValueError:
-                raise SurfaceSyntaxError("ray entries must be integers", lineno)
+            a, b, *cs = _ints(fields[1:3] + fields[4:], "ray entries must be integers", lineno)
             if len(cs) != k:
                 raise SurfaceSyntaxError(
                     f"expected {k} constants, got {len(cs)}", lineno

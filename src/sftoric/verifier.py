@@ -154,21 +154,23 @@ def default_q_sample(k: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(1, p) for p in primes)
 
 
-_REPORT_FIELDS = (
-    "surface q_sample linear_identity relations dimension expected_dimension samples_tried"
-)
+_REPORT_FIELDS = "surface q_sample linear_identity relations dimension expected_dimension"
 
 
 class VerificationReport(namedtuple("VerificationReport", _REPORT_FIELDS)):
     """Line-oriented record of the QH = Jac verification for one surface.
 
     ``relations`` lists ((i, j), membership ok) per primitive pair and
-    ``dimension`` is dim Jac(W) or None.  ``samples_tried`` lists the sample
-    the checks ran at; it has one entry, since a failed check is final and
-    the default sample is chosen in the cone before any check runs.
+    ``dimension`` is dim Jac(W) or None.  ``samples_tried`` is [q_sample], the
+    one sample the checks ran at: a failed check is final and the default
+    sample is chosen in the cone before any check runs.
     """
 
     __slots__ = ()
+
+    @property
+    def samples_tried(self) -> list[tuple]:
+        return [self.q_sample]
 
     @property
     def passed(self) -> bool:
@@ -240,9 +242,8 @@ def jac_dimension(spec: KahlerSpec, qvals: Sequence) -> int | None:
     cone, naming the edge).  The value is ``edge_factorisation`` of the
     symbolic W, which holds on the whole open cone and so at this sample.
     """
-    w = superpotential(spec).w
     _q_sample(spec, qvals)
-    return edge_factorisation(spec, w)
+    return edge_factorisation(spec, superpotential(spec).w)
 
 
 def verify_homomorphism(
@@ -258,8 +259,8 @@ def verify_homomorphism(
     fan = spec.fan
     if fan.d == 3:
         raise IsP2("quantum Stanley-Reisner verification excludes P^2")
-    linear_ok = verify_linear_identity(spec)
     sample = _q_sample(spec, qvals)
+    linear_ok = verify_linear_identity(spec)
     w = superpotential(spec).w
     pairs, polys = [], []
     for (i, j), el in quantum_sr_relations(fan, spec):
@@ -276,5 +277,4 @@ def verify_homomorphism(
         relations=[(pr, cert is not None) for pr, cert in zip(pairs, certs)],
         dimension=edge_factorisation(spec, w),
         expected_dimension=fan.d,
-        samples_tried=[sample],
     )

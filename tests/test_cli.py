@@ -40,6 +40,11 @@ def test_parse_surface_errors():
     with pytest.raises(SurfaceSyntaxError) as err:
         parse_surface("surface A\nparams 2\nray 1 0 : 0\n")
     assert err.value.line == 3
+    # digits that int() refuses, and a count past the interpreter's digit limit
+    for k in ("\u00b2", "1\u00b2", "--3", "1" * 4301):
+        with pytest.raises(SurfaceSyntaxError, match="expected: params K") as err:
+            parse_surface(f"surface A\nparams {k}\nray 1 0 : 0\n")
+        assert err.value.line == 2
     with pytest.raises(NotPrimitive):
         parse_surface("surface A\nparams 1\nray 0 2 : 0\nray 1 0 : 0\nray -1 -1 : 1\n")
     with pytest.raises(NotCounterclockwise):

@@ -130,6 +130,12 @@ def test_reduce_class_properties(bundled):
             )
             r = reduce_class(fan, x)
             assert r == reduce_class(fan, shifted), name
+            # one relation: the Gram kernel is span(L_1, L_2), so the
+            # canonical representative and the pairing profile agree
+            y = tuple(rng.randrange(-3, 4) for _ in range(fan.d))
+            for other in (shifted, r, y, tuple(a + b for a, b in zip(y, l1))):
+                same = profile(fan, x) == profile(fan, other)
+                assert classes_equal(fan, x, other) == same, name
             assert profile(fan, x) == profile(fan, r), name
             assert r[-2:] == (0, 0), name
             assert all(type(v) is int for v in r), name
@@ -184,3 +190,18 @@ def test_solve_linear_rectangular_rank_deficient():
     assert rank == 1 and sols == [[Fraction(3, 2), 0, 0]]
     # no right-hand side: the rank alone
     assert solve_linear([[0, 0], [0, 0]], [(), ()]) == (0, [])
+
+
+@pytest.mark.parametrize(
+    "matrix, rhs",
+    [
+        ([], []),  # no rows
+        ([[1, 0], [1]], [[1], [1]]),  # ragged M
+        ([[1, 0], [0, 1]], [[1], [1, 2]]),  # ragged B
+        ([[1, 0], [0, 1]], [[1]]),  # B short of a row
+        ([[1, 0]], [[1], [5]]),  # B with a row more than M, once cut short
+    ],
+)
+def test_solve_linear_refuses_a_system_of_the_wrong_shape(matrix, rhs):
+    with pytest.raises(ParameterMismatch, match="rows in M and in B"):
+        solve_linear(matrix, rhs)

@@ -492,7 +492,7 @@ def test_copy_and_pickle_round_trips(bundled):
             quantum_product(f0.fan, f0, 1, 3),
         "VerificationReport(surface='F0', q_sample=(Fraction(1, 7), Fraction(1, 11)), "
         "linear_identity=True, relations=[((1, 3), True), ((2, 4), True)], dimension=4, "
-        "expected_dimension=4, samples_tried=[(Fraction(1, 7), Fraction(1, 11))])":
+        "expected_dimension=4)":
             verify_homomorphism(f0),
     }
     for text, record in records.items():

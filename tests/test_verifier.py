@@ -297,7 +297,7 @@ def test_degenerate_edge_leaves_the_dimension_undefined(bundled):
     # W off the lattice points of the polygon is not judged either
     assert newton_dimension(fan, w(3) + LaurentPoly.monomial(0, (2, 0))) is None
     # a report with an undefined dimension fails on that line
-    report = VerificationReport("X1", (), True, [((2, 4), True)], None, 4, [()])
+    report = VerificationReport("X1", (), True, [((2, 4), True)], None, 4)
     assert not report.passed
     assert "jacobian-dimension undefined expected 4 FAIL" in report.to_text()
 
@@ -341,6 +341,22 @@ def test_samples_off_the_kahler_cone_are_rejected(bundled, name, q, edge):
         verify_homomorphism(spec, qvals)
     with pytest.raises(OutOfRange, match=f"edge {edge} "):
         jac_dimension(spec, qvals)
+
+
+def test_sample_is_checked_before_w_is_built(bundled, monkeypatch):
+    # an off-cone sample is refused before either entry point builds W or psi
+    import sftoric.verifier as verifier
+
+    def unreachable(spec):
+        raise AssertionError("W built before the sample was checked")
+
+    monkeypatch.setattr(verifier, "superpotential", unreachable)
+    spec = bundled["X8"][1]
+    q = [Fraction(1, 2)] * 2 + [Fraction(1, 4)] + [Fraction(1, 2)] * 3
+    with pytest.raises(OutOfRange, match="edge 3 "):
+        verify_homomorphism(spec, q)
+    with pytest.raises(OutOfRange, match="edge 3 "):
+        jac_dimension(spec, q)
 
 
 def test_default_samples_lie_in_the_kahler_cone(bundled):
