@@ -137,10 +137,6 @@ class Fan:
         chains.sort()  # the chains are disjoint, so this sorts by first index
         return tuple(chains)
 
-    def chain_through(self, i: int) -> tuple[int, ...] | None:
-        """The (-2)-chain containing ray i (1 <= i <= d), or None."""
-        return next((chain for chain in self.minus_two_chains() if i in chain), None)
-
     def blowup(self, i: int) -> "Fan":
         """Star subdivision of the cone spanned by (v_i, v_{i+1}), 1-based."""
         d = self.d

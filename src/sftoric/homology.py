@@ -98,10 +98,11 @@ def solve_linear(matrix: Sequence[Sequence], rhs: Sequence[Sequence]):
     column is inconsistent.  Each row of [M | B] is scaled to integers and
     eliminated fraction-free, divided by the gcd of its entries after every
     step; zero entries are skipped, so sparse systems stay cheap.
-    Raises ParameterMismatch unless M has a row, B has one row per row of M,
-    and the rows of each are of one length.
+    Raises ParameterMismatch unless M and B are sequences, M has a row, B has
+    one row per row of M, and the rows of each are of one length.
     """
-    rows = [(_exact(a, "row of M"), _exact(b, "row of B")) for a, b in zip(matrix, rhs)]
+    pairs = zip(matrix, rhs) if isinstance(matrix, Sequence) and isinstance(rhs, Sequence) else ()
+    rows = [(_exact(a, "row of M"), _exact(b, "row of B")) for a, b in pairs]
     if not rows or len(matrix) != len(rhs) or len({(len(a), len(b)) for a, b in rows}) > 1:
         raise ParameterMismatch("M x = B needs n >= 1 rows in M and in B, each of one width")
     n, m = len(rows), len(rows[0][0])

@@ -63,13 +63,13 @@ def _exact(xs, what: str, error: type = ParameterMismatch, integral: bool = Fals
     raise error(f"{what} {xs!r} is not a sequence of {kind}")
 
 
-def _q_values(qvals, k: int, unit: bool = False) -> tuple:
-    """qvals as k exact rationals, else ParameterMismatch; with unit, OutOfRange off (0, 1)."""
+def _q_values(qvals, k: int) -> tuple:
+    """qvals as k exact rationals, else ParameterMismatch; OutOfRange off (0, 1)."""
     qvals = _exact(qvals, "q-sample")
     if len(qvals) != k:
         raise ParameterMismatch(f"{len(qvals)} values for k={k}")
     for v in qvals:
-        if unit and not 0 < v < 1:
+        if not 0 < v < 1:
             raise OutOfRange(f"q value {v} is not in (0, 1)")
     return qvals
 
@@ -91,6 +91,8 @@ class _Sparse:
             for e, c in terms.items():
                 if ring is None:
                     c = c if type(c) is int else _exact((c,), "coefficient")[0]
+                elif type(c) is not ring:
+                    raise ParameterMismatch(f"coefficient {c!r} is not a {ring.__name__}")
                 elif c.k != k:
                     raise ParameterMismatch(f"coefficient over k={c.k} in a polynomial over k={k}")
                 if not c:
@@ -249,13 +251,17 @@ class QPoly(_Sparse):
         return QPoly(k, {e: c})
 
     def specialize(self, qvals: Sequence) -> Fraction:
-        qvals = _q_values(qvals, self.k)
+        """The value at exact rationals q_l in (0, 1)."""
+        return self._at(_q_values(qvals, self.k))
+
+    def _at(self, qvals: tuple) -> Fraction:
+        """The value at q-values that already passed ``_q_values``."""
         total = Fraction(0)
         for e, c in zip(self._exps, self._coeffs):
             m = Fraction(c)
             for exp, q in zip(e, qvals):
-                if exp:  # q may be an int, whose negative power is a float
-                    m = m * q**exp if exp > 0 else m / q**-exp
+                if exp:
+                    m *= q**exp
             total += m
         return total
 
@@ -307,10 +313,10 @@ class LaurentPoly(_Sparse):
 
     def specialize_q(self, qvals: Sequence) -> "LaurentPoly":
         """Substitute exact rationals in (0, 1) for the q_l; result has k = 0."""
-        qvals = _q_values(qvals, self.k, unit=True)
+        qvals = _q_values(qvals, self.k)
         out = {}
         for ze, qp in zip(self._exps, self._coeffs):
-            c = qp.specialize(qvals)
+            c = qp._at(qvals)
             if c:
                 out[ze] = _make(QPoly, 0, ((),), (_integral(c),))
         return _from_dict(LaurentPoly, 0, out)

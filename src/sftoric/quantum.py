@@ -1,23 +1,19 @@
 """Small quantum cohomology of a semi-Fano toric surface other than P^2.
 
 The quantum Stanley-Reisner relations are generated by the products
-D_i * D_j over primitive pairs (non-adjacent rays), each computed from two
-families of rational curve classes:
+D_i * D_j over primitive pairs (non-adjacent rays), each computed from the
+rational curve classes of GW one with c_1 = 2 and a point constraint, and
+with c_1 = 1 and no constraint.  Both families follow one product rule.
 
-* c_1 = 2 with a point constraint.  Such a class is a fiber class f of a
-  ruling (an opposite-ray pair) plus a configuration of (-2)-divisors that the
-  fiber meets.  After blowing up the point the fiber becomes a (-1)-curve and
-  the count is the local invariant of a chain of rational curves: it is one
-  exactly when the multiplicities form an admissible sequence centered where
-  the fiber hits the chain (one-chain shape), or, when both rays of the pair
-  lie on (-2)-chains, when both sides are unit runs hanging off the fiber
-  (two-chain path shape).  Everything else counts zero.
-
-* c_1 = 1 with no constraint.  Such a class is a (-1)-divisor D_r plus a
-  unit run into each neighbouring (-2)-chain: a possibly empty run of the
-  chain ending at r - 1 and one of the chain starting at r + 1, every
-  multiplicity one (both arms admissible about the (-1)).  It counts one, and
-  every other class with c_1 = 1 counts zero.
+A core is a curve that meets two toric divisors D_a, D_b once each and no
+other toric divisor apart from itself: a fiber f of a ruling (c_1 = 2, a and
+b an opposite-ray pair) or a (-1)-divisor D_r (c_1 = 1, a = r - 1 and
+b = r + 1).  After blowing up the point a fiber is a (-1)-curve too, and the
+count is the local invariant of the core with the (-2)-chains it meets at
+D_a and D_b.  It is one exactly for the classes core + alpha + alpha' where
+beta_a + alpha and beta_b + alpha' are counted disks of
+``enumerate_admissible`` (alpha = 0 included), and zero for every other
+class with that c_1.
 
 With these counts the product of a primitive pair is
 
@@ -38,7 +34,7 @@ from collections.abc import Sequence
 from .disks import enumerate_admissible
 from .errors import IsP2, NotPrimitivePair, ParameterMismatch, WrongChern
 from .fan import Fan, _per_fan
-from .homology import chern_number, fiber_classes, profile, reduce_class
+from .homology import chern_number, fiber_classes, profile, reduce_class, unit_vector
 from .kahler import KahlerSpec
 from .laurent import QPoly, _exact
 
@@ -62,74 +58,46 @@ def primitive_pairs(fan: Fan) -> list[tuple[int, int]]:
     return [(i, j) for i in range(1, d + 1) for j in range(i + 2, d + 1) if j - i != d - 1]
 
 
-def _runs_from(chain: tuple[int, ...], a: int) -> list[tuple[int, ...]]:
-    """Contiguous runs of the chain (an index tuple) with ray a at one end."""
-    pos = chain.index(a)
-    return [chain[pos : hi + 1] for hi in range(pos, len(chain))] + [
-        chain[lo : pos + 1] for lo in range(pos - 1, -1, -1)
-    ]
+def _cores(fan: Fan):
+    """(c_1, core, a, b) for each core of the module docstring, meeting D_a and D_b once.
 
-
-def _two_reps(fan: Fan):
-    """Effective c_1 = 2 representatives in the two shapes of the module docstring.
-
-    Read off the fibers f of ``fiber_classes`` and the counted disks of
-    ``enumerate_admissible``.
+    Each ruling fiber f of ``fiber_classes`` (c_1 = 2, a and b opposite),
+    then each (-1)-divisor D_r (c_1 = 1, a = r - 1 and b = r + 1, cyclic).
     """
-    disks = enumerate_admissible(fan)
     for (a, b), f in fiber_classes(fan):
-        # one-chain shape: f + alpha for each disk beta_end + alpha counted at an end
-        for disk in disks:
-            if disk.i in (a, b):
-                yield tuple(m + x for m, x in zip(f, disk.alpha))
-        # two-chain shape: unit runs hanging off both ends of the fiber
-        # (opposite rays can never lie on one chain: its heads are collinear)
-        chain_a, chain_b = fan.chain_through(a), fan.chain_through(b)
-        if chain_a and chain_b and chain_a != chain_b:
-            for run_a in _runs_from(chain_a, a):
-                for run_b in _runs_from(chain_b, b):
-                    run = run_a + run_b
-                    yield tuple(m + (k in run) for k, m in enumerate(f, start=1))
-
-
-def _one_reps(fan: Fan):
-    """Effective c_1 = 1 representatives: each (-1)-ray r with unit runs beside it.
-
-    The chain through r - 1 ends there and the one through r + 1 starts
-    there (cyclic indices), so ``_runs_from`` lists exactly the runs that
-    reach D_r.  The two chains differ: one chain through both would leave D_r
-    the only ray off it, and no complete fan has that.
-    """
+        yield 2, f, a, b
     d = fan.d
     for r in range(1, d + 1):
-        if fan.self_intersection(r) != -1:
-            continue
-        prev, nxt = (r - 2) % d + 1, r % d + 1
-        left, right = fan.chain_through(prev), fan.chain_through(nxt)
-        for run_l in [()] + (_runs_from(left, prev) if left else []):
-            for run_r in [()] + (_runs_from(right, nxt) if right else []):
-                run = run_l + (r,) + run_r
-                yield tuple(int(k in run) for k in range(1, d + 1))
+        if fan.self_intersection(r) == -1:
+            yield 1, unit_vector(d, r), (r - 2) % d + 1, r % d + 1
 
 
 @_per_fan
 def _classes(fan: Fan) -> dict[int, tuple]:
     """The classes with GW one, keyed by c_1 (2 and 1); found once per fan.
 
-    Each value holds (rep, profile, canonical rep) per class, sorted by rep;
-    the first representative enumerated stands for its class.  Raises
-    NotSemiFano off the semi-Fano range.
+    The product rule of the module docstring: core + alpha + alpha' for each
+    core of ``_cores`` in turn, alpha over the disks at a (outer loop) and
+    alpha' over those at b, in ``enumerate_admissible`` order.  Each value
+    holds (rep, profile, canonical rep) per class, sorted by rep; the first
+    representative enumerated stands for its class.  Raises NotSemiFano off
+    the semi-Fano range.
     """
     fan.require_semi_fano("the curve class enumeration")
-    curves = {}
-    for c1, reps in ((2, _two_reps(fan)), (1, _one_reps(fan))):
-        seen: dict[tuple, tuple[int, ...]] = {}
-        for rep in reps:
-            assert chern_number(fan, rep) == c1
-            assert all(m <= fan.d + 2 for m in rep)  # enumeration stays inside the bound
-            seen.setdefault(reduce_class(fan, rep), rep)
-        curves[c1] = tuple(sorted((r, profile(fan, r), canon) for canon, r in seen.items()))
-    return curves
+    disks = enumerate_admissible(fan)
+    seen: dict[int, dict[tuple, tuple[int, ...]]] = {2: {}, 1: {}}
+    for c1, core, a, b in _cores(fan):
+        at_b = [disk.alpha for disk in disks if disk.i == b]
+        for alpha in (disk.alpha for disk in disks if disk.i == a):
+            for alpha2 in at_b:
+                rep = tuple(m + x + y for m, x, y in zip(core, alpha, alpha2))
+                assert chern_number(fan, rep) == c1
+                assert all(m <= fan.d + 2 for m in rep)  # enumeration stays inside the bound
+                seen[c1].setdefault(reduce_class(fan, rep), rep)
+    return {
+        c1: tuple(sorted((r, profile(fan, r), canon) for canon, r in classes.items()))
+        for c1, classes in seen.items()
+    }
 
 
 def c1_two_classes(fan: Fan) -> list[tuple[int, ...]]:

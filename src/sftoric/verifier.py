@@ -41,11 +41,11 @@ from collections.abc import Sequence
 from fractions import Fraction
 from math import isqrt
 
-from .errors import IsP2, OutOfRange
+from .errors import IsP2, OutOfRange, ParameterMismatch
 from .fan import Fan
 from .homology import linear_relations, solve_linear, unit_vector
 from .kahler import KahlerSpec
-from .laurent import LaurentPoly, QPoly, _q_values
+from .laurent import LaurentPoly, QPoly, _exact, _q_values
 from .potential import psi_divisor, superpotential
 from .quantum import QHElement, primitive_pairs, quantum_sr_relations
 
@@ -143,8 +143,12 @@ def default_q_sample(k: int) -> tuple[Fraction, ...]:
     """q_l = 1 / p_l over the k consecutive primes starting at 7.
 
     ``verify_homomorphism`` runs at this sample when it lies in the open
-    Kahler cone, as it does for every bundled surface.
+    Kahler cone, as it does for every bundled surface.  Raises
+    ParameterMismatch unless k is an exact integer >= 0.
     """
+    (k,) = _exact((k,), "parameter count", integral=True)
+    if k < 0:
+        raise ParameterMismatch(f"parameter count {k} is negative")
     primes: list[int] = []
     n = 7
     while len(primes) < k:
@@ -226,7 +230,7 @@ def _q_sample(spec: KahlerSpec, qvals: Sequence | None) -> tuple:
         if off_cone_edge(spec, sample) is None:
             return sample
         return tuple(Fraction(1, 2**t) for t in spec.sample_point)
-    sample = _q_values(qvals, spec.k, unit=True)
+    sample = _q_values(qvals, spec.k)
     edge = off_cone_edge(spec, sample)
     if edge is not None:
         raise OutOfRange(

@@ -118,7 +118,6 @@ def test_minus_two_chains_examples():
     x3 = Fan(X3_RAYS)
     assert x3.minus_two_chains() == ((1,), (4, 5))
     assert x3.minus_two_chains() is x3.minus_two_chains()  # stored, not copied
-    assert x3.chain_through(5) == (4, 5) and x3.chain_through(2) is None
     assert Fan(P2_RAYS).minus_two_chains() == ()
     assert Fan(X1_RAYS).minus_two_chains() == ((4,),)
 

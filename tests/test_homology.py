@@ -200,6 +200,8 @@ def test_solve_linear_rectangular_rank_deficient():
         ([[1, 0], [0, 1]], [[1], [1, 2]]),  # ragged B
         ([[1, 0], [0, 1]], [[1]]),  # B short of a row
         ([[1, 0]], [[1], [5]]),  # B with a row more than M, once cut short
+        (5, 5),  # neither M nor B a sequence
+        ([[1]], 5),  # B not a sequence
     ],
 )
 def test_solve_linear_refuses_a_system_of_the_wrong_shape(matrix, rhs):

@@ -62,6 +62,12 @@ def test_parameter_mismatch():
             QPoly.monomial(2, exps)
         with pytest.raises(ParameterMismatch, match="^exponent vector .* is not a sequence"):
             LaurentPoly.monomial(2, exps)
+    # a Laurent coefficient is a QPoly, not a rational or a LaurentPoly
+    for c in (5, Fraction(1, 2), LaurentPoly.constant(1, 1)):
+        with pytest.raises(ParameterMismatch, match="is not a QPoly"):
+            LaurentPoly(1, {(0, 0): c})
+    with pytest.raises(ParameterMismatch, match="is not a QPoly"):
+        LaurentPoly.monomial(1, (1, 0), 3)
     # a coefficient is looked up at exactly two exact integers
     z1 = LaurentPoly.monomial(0, [1, 0])
     assert z1.coefficient([1, 0]) == z1.coefficient((Fraction(1), 0)) == QPoly.one(0)
@@ -152,6 +158,12 @@ def test_specialize_examples():
         p.specialize_q([Fraction(2)])
     with pytest.raises(OutOfRange):
         p.specialize_q([Fraction(0)])
+    # specialize takes q-values in (0, 1) only, like specialize_q
+    inverse = QPoly.monomial(1, (-1,), 3)
+    assert inverse.specialize([Fraction(1, 2)]) == 6
+    for bad in (0, 1, 2, Fraction(3, 2), -Fraction(1, 2)):
+        with pytest.raises(OutOfRange):
+            inverse.specialize([bad])
 
 
 def test_specialize_is_ring_homomorphism():

@@ -36,6 +36,7 @@ from sftoric.quantum import (
 )
 
 from dual_basis import dual_basis
+from fiber_shapes import fiber_shapes
 from window_scan import window_scan
 
 
@@ -130,7 +131,7 @@ def test_sphere_counts_depend_on_the_class_only(bundled):
                     assert gw(fan, shifted) == n, (name, alpha, shifted)
 
 
-def test_c1_one_classes_match_the_window_scan():
+def _rotations_and_reflections():
     # every rotation and reflection of every semi-Fano class with up to nine
     # rays, so (-2)-chains meet the index seam on either side of a (-1)-ray
     fans = []
@@ -139,8 +140,17 @@ def test_c1_one_classes_match_the_window_scan():
         for rays in (fan.rays, reflected):
             fans.extend(Fan(rays[r:] + rays[:r]) for r in range(fan.d))
     assert len(fans) == 192
-    for fan in fans:
+    return fans
+
+
+def test_c1_one_classes_match_the_window_scan():
+    for fan in _rotations_and_reflections():
         assert c1_one_classes(fan) == window_scan(fan), fan
+
+
+def test_c1_two_classes_match_the_fiber_shapes():
+    for fan in _rotations_and_reflections():
+        assert c1_two_classes(fan) == fiber_shapes(fan), fan
 
 
 def test_enumerated_classes_are_bounded(bundled):
@@ -186,8 +196,7 @@ def test_curve_classes_are_found_once_per_fan(bundled, monkeypatch):
     def refuse(fan):
         raise AssertionError("curve classes enumerated again")
 
-    monkeypatch.setattr(quantum, "_two_reps", refuse)
-    monkeypatch.setattr(quantum, "_one_reps", refuse)
+    monkeypatch.setattr(quantum, "_cores", refuse)
     assert quantum_product(fan, spec, 2, 4) == expected
     assert dict(quantum_sr_relations(fan, spec))[(2, 4)] == expected
     assert gw_c1_2_point(fan, (0, 0, 1, 1, 1, 0)) == 1

@@ -369,6 +369,10 @@ def test_default_sample_has_one_value_per_parameter():
     first = (7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71)
     for k in range(15):
         assert default_q_sample(k) == tuple(Fraction(1, p) for p in first[:k]), k
+    assert default_q_sample(Fraction(2)) == default_q_sample(2)
+    for k in (1.5, Fraction(3, 2), "2", None, -1):
+        with pytest.raises(ParameterMismatch):
+            default_q_sample(k)
 
 
 def test_auto_resampling_skips_samples_off_the_cone(bundled, monkeypatch):

@@ -1,7 +1,7 @@
 """The c_1 = 1 classes found by scanning every cyclic window of rays, used only by the tests.
 
-The package reads these classes off the (-2)-chains beside each (-1)-ray;
-this scan is the earlier, independent route to them, kept as the reference.
+The package reads these classes off the counted disks at the (-1)-ray's
+two neighbours; this scan is the earlier, independent route to them, kept as the reference.
 """
 
 from __future__ import annotations
