@@ -25,7 +25,7 @@ from collections.abc import Iterator
 from itertools import product
 
 from .errors import ParameterMismatch, WrongMaslov
-from .fan import Fan, _per_fan
+from .fan import Fan, _memoised
 from .homology import chern_number, reduce_class
 from .laurent import _exact
 
@@ -112,7 +112,7 @@ def enumerate_admissible(fan: Fan) -> list[DiskClass]:
     return list(_admissible(fan))
 
 
-@_per_fan
+@_memoised
 def _admissible(fan: Fan) -> tuple[DiskClass, ...]:
     fan.require_semi_fano("the disk count formula")
     out = [DiskClass.basic(fan, i) for i in range(1, fan.d + 1)]

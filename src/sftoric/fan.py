@@ -29,20 +29,20 @@ def det(a: Sequence[int], b: Sequence[int]) -> int:
     return a[0] * b[1] - a[1] * b[0]
 
 
-def _per_fan(build):
-    """Run build(fan), a function of the rays alone, once per fan; a raise stores nothing."""
+def _memoised(build):
+    """Run build(obj) once per Fan or KahlerSpec, kept in obj._memo; a raise stores nothing."""
     @wraps(build)
-    def once(fan):
-        if build not in fan._memo:
-            fan._memo[build] = build(fan)
-        return fan._memo[build]
+    def once(obj):
+        if build not in obj._memo:
+            obj._memo[build] = build(obj)
+        return obj._memo[build]
     return once
 
 
 class Fan:
     """A complete smooth 2D fan; immutable after validation."""
 
-    # _memo: what _per_fan built from the rays (canonical form, chains, disk and curve classes)
+    # _memo: what _memoised built from the rays (canonical form, chains, disk and curve classes)
     __slots__ = ("rays", "_memo")
 
     def __init__(self, rays: Sequence[Sequence[int]]):
@@ -109,7 +109,7 @@ class Fan:
         # -K is ample iff it is positive on every D_i, i.e. all D_i^2 >= -1
         return all(s >= -1 for s in self.self_intersections())
 
-    @_per_fan
+    @_memoised
     def minus_two_chains(self) -> tuple[tuple[int, ...], ...]:
         """Maximal cyclic runs of (-2)-divisors as index tuples, sorted by first index.
 
@@ -144,7 +144,7 @@ class Fan:
         a, b = self.rays[k], self.rays[(k + 1) % d]
         return Fan(self.rays[: k + 1] + ((a[0] + b[0], a[1] + b[1]),) + self.rays[k + 1 :])
 
-    @_per_fan
+    @_memoised
     def canonical_form(self) -> tuple[Vec, ...]:
         """Normal form under lattice automorphisms, rotation and reflection.
 

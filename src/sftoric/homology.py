@@ -177,8 +177,3 @@ def reduce_class(fan: Fan, x: Sequence) -> Vector:
     out = tuple(v - lam1 * a - lam2 * b for v, (a, b) in zip(x, fan.rays))
     assert not out[-2] and not out[-1]
     return out
-
-
-def classes_equal(fan: Fan, x: Sequence, y: Sequence) -> bool:
-    """Equality in H^2, i.e. modulo the linear-equivalence relations."""
-    return reduce_class(fan, x) == reduce_class(fan, y)

@@ -47,7 +47,8 @@ class KahlerSpec:
     on the all-ones diagonal.
     """
 
-    __slots__ = ("fan", "k", "rows", "name", "sample_point", "_edges")
+    # _memo: what fan._memoised built from the spec (the superpotential)
+    __slots__ = ("fan", "k", "rows", "name", "sample_point", "_edges", "_memo")
 
     def __init__(self, fan: Fan, k: int, rows: Sequence[Sequence[int]], name: str = ""):
         if type(k) is not int or k < 0:
@@ -75,6 +76,7 @@ class KahlerSpec:
             edges.append(length)
         object.__setattr__(self, "_edges", tuple(edges))
         object.__setattr__(self, "sample_point", self._find_sample())
+        object.__setattr__(self, "_memo", {})
 
     def _find_sample(self) -> tuple[int, ...]:
         if self.k == 0:

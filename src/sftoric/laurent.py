@@ -223,6 +223,18 @@ def _make(cls: type, k: int, exps: tuple, coeffs: tuple):
     return p
 
 
+def _shared(p: _Sparse, table: dict) -> _Sparse:
+    """p, or the equal polynomial that table already holds.
+
+    table maps each polynomial and each coefficient tuple to its first equal
+    copy, so what is built with one table keeps every equal part once.
+    """
+    if p not in table:
+        coeffs = table.setdefault(p._coeffs, p._coeffs)
+        table[p] = p if coeffs is p._coeffs else _make(type(p), p.k, p._exps, coeffs)
+    return table[p]
+
+
 def _from_dict(cls: type, k: int, terms: dict):
     """A polynomial over terms that are already clean (nonzero, int when integral)."""
     if not terms:

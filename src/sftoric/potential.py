@@ -23,6 +23,7 @@ from collections.abc import Sequence
 
 from .disks import DiskClass, enumerate_admissible
 from .errors import NonIntegralPairing, ParameterMismatch
+from .fan import _memoised
 from .homology import pair
 from .kahler import KahlerSpec
 from .laurent import LaurentPoly, QPoly, _exact, canonical_string
@@ -37,20 +38,21 @@ def z_beta(spec: KahlerSpec, b: DiskClass) -> LaurentPoly:
 
 
 class Superpotential(namedtuple("Superpotential", "w classes")):
-    """The potential w with classes, one (DiskClass, Z_b) record per counted class."""
+    """The potential w with classes, a tuple of one (DiskClass, Z_b) record per counted class."""
 
     __slots__ = ()
 
 
+@_memoised
 def superpotential(spec: KahlerSpec) -> Superpotential:
-    """W = sum of Z_b over all admissible Maslov index two classes."""
+    """W = sum of Z_b over all admissible Maslov index two classes; built once per spec."""
     records = []
     w = LaurentPoly.zero(spec.k)
     for b in enumerate_admissible(spec.fan):
         term = z_beta(spec, b)
         records.append((b, term))
         w = w + term
-    return Superpotential(w, records)
+    return Superpotential(w, tuple(records))
 
 
 def hori_vafa(spec: KahlerSpec) -> LaurentPoly:

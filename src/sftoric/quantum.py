@@ -33,10 +33,10 @@ from collections.abc import Sequence
 
 from .disks import enumerate_admissible
 from .errors import IsP2, NotPrimitivePair, ParameterMismatch, WrongChern
-from .fan import Fan, _per_fan
+from .fan import Fan, _memoised
 from .homology import chern_number, fiber_classes, profile, reduce_class, unit_vector
 from .kahler import KahlerSpec
-from .laurent import QPoly, _exact
+from .laurent import QPoly, _exact, _shared
 
 
 class QHElement(namedtuple("QHElement", "scalar divisor")):
@@ -72,7 +72,7 @@ def _cores(fan: Fan):
             yield 1, unit_vector(d, r), (r - 2) % d + 1, r % d + 1
 
 
-@_per_fan
+@_memoised
 def _classes(fan: Fan) -> dict[int, tuple]:
     """The classes with GW one, keyed by c_1 (2 and 1); found once per fan.
 
@@ -152,11 +152,13 @@ def _check_supported(fan: Fan, spec: KahlerSpec) -> None:
         raise ParameterMismatch(f"{fan} is not the fan of {spec}")
 
 
-def _product(fan: Fan, k: int, data, i: int, j: int) -> QHElement:
+def _product(fan: Fan, k: int, data, i: int, j: int, table: dict) -> QHElement:
     """D_i * D_j from the shared curve data of ``_curve_data``.
 
     The H^2 part sums (D_i.a)(D_j.a) q^a [a] over the c_1 = 1 classes; the
-    representatives [a] are canonical, so the sum is too.
+    representatives [a] are canonical, so the sum is too.  Its coefficients
+    are stored through ``laurent._shared`` in table, so the products built
+    with one table keep each equal coefficient once.
     """
     zero = QPoly.zero(k)
     scalar = zero
@@ -175,7 +177,7 @@ def _product(fan: Fan, k: int, data, i: int, j: int) -> QHElement:
     # the product of two integral classes is integral
     assert scalar.has_integer_coefficients()
     assert all(c.has_integer_coefficients() for c in divisor)
-    return QHElement(scalar, tuple(divisor))
+    return QHElement(_shared(scalar, table), tuple(_shared(c, table) for c in divisor))
 
 
 def quantum_product(fan: Fan, spec: KahlerSpec, i: int, j: int) -> QHElement:
@@ -195,17 +197,18 @@ def quantum_product(fan: Fan, spec: KahlerSpec, i: int, j: int) -> QHElement:
     i0, j0 = (i - 1) % d + 1, (j - 1) % d + 1
     if (min(i0, j0), max(i0, j0)) not in primitive_pairs(fan):
         raise NotPrimitivePair(f"rays {i0}, {j0} span a cone")
-    return _product(fan, spec.k, _curve_data(fan, spec), i0, j0)
+    return _product(fan, spec.k, _curve_data(fan, spec), i0, j0, {})
 
 
 def quantum_sr_relations(fan: Fan, spec: KahlerSpec):
     """The quantum expansion of D_i D_j for every primitive pair.
 
     The curve classes, their representatives and q-monomials are built once
-    and shared by all pairs.  Raises ParameterMismatch when fan is not
-    spec.fan, IsP2 on P^2 and NotSemiFano off the semi-Fano range.
+    and shared by all pairs, and so is each equal coefficient.  Raises
+    ParameterMismatch when fan is not spec.fan, IsP2 on P^2 and NotSemiFano
+    off the semi-Fano range.
     """
     pairs = primitive_pairs(fan)
     _check_supported(fan, spec)
-    data = _curve_data(fan, spec)
-    return [(pr, _product(fan, spec.k, data, *pr)) for pr in pairs]
+    data, table = _curve_data(fan, spec), {}
+    return [(pr, _product(fan, spec.k, data, *pr, table)) for pr in pairs]

@@ -494,10 +494,10 @@ def test_copy_and_pickle_round_trips(bundled):
     p2, f0 = bundled["P2"][1], bundled["F0"][1]
     records = {
         "DiskClass(i=2, alpha=(0, 1, 0, 0))": DiskClass(2, (0, 1, 0, 0)),
-        "Superpotential(w=LaurentPoly('q1*z1^-1*z2^-1 + z1 + z2'), classes=["
+        "Superpotential(w=LaurentPoly('q1*z1^-1*z2^-1 + z1 + z2'), classes=("
         "(DiskClass(i=1, alpha=(0, 0, 0)), LaurentPoly('z1')), "
         "(DiskClass(i=2, alpha=(0, 0, 0)), LaurentPoly('z2')), "
-        "(DiskClass(i=3, alpha=(0, 0, 0)), LaurentPoly('q1*z1^-1*z2^-1'))])": superpotential(p2),
+        "(DiskClass(i=3, alpha=(0, 0, 0)), LaurentPoly('q1*z1^-1*z2^-1'))))": superpotential(p2),
         "BulkPotential(parts={1: LaurentPoly('z1'), 0: LaurentPoly('q1*z1^-1*z2^-1 + z2')})":
             bulk_superpotential(p2, 0, (1, 0, 0)),
         "QHElement(scalar=QPoly('q1'), divisor=(QPoly('0'), QPoly('0'), QPoly('0'), QPoly('0')))":

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -27,7 +29,12 @@ from sftoric.potential import (
     z_beta,
 )
 from sftoric.surfaces import BUNDLED, BUNDLED_NON_FANO, load_bundled
-from sftoric.verifier import default_q_sample, jac_dimension
+from sftoric.verifier import (
+    default_q_sample,
+    jac_dimension,
+    verify_homomorphism,
+    verify_linear_identity,
+)
 
 
 def dc(fan, i, **mult):
@@ -72,6 +79,7 @@ def test_superpotential_rejects_non_semi_fano():
         superpotential(spec)
     with pytest.raises(NotSemiFano):
         hori_vafa(spec)
+    assert not spec._memo  # a raise stores nothing
     # the check sits in the enumeration itself, so the counts reject it too
     with pytest.raises(NotSemiFano, match="disk count formula"):
         enumerate_admissible(fan)
@@ -286,6 +294,54 @@ def test_psi_is_the_pairing_sum(bundled, generator):
             spec = presentation(name, GENERATORS[generator], shift=1, U=U)
         for D in _psi_cases(spec):
             assert psi_divisor(spec, D) == psi_by_pairing(spec, D), (name, generator, D)
+
+
+def test_psi_of_the_first_chern_class_is_w(bundled):
+    # every counted sphere part has c_1 = 0, so <b, c_1> = 1 for every b:
+    # on each bundled surface and its image under each generator
+    for name in sorted(BUNDLED):
+        spec = bundled[name][1]
+        specs = [spec] + [
+            presentation(name, M, shift=1, U=((1,) * spec.k, tuple(range(spec.k))))
+            for M in GENERATORS.values()
+        ]
+        for s in specs:
+            assert psi_divisor(s, (1,) * s.fan.d) == superpotential(s).w, (name, s.fan)
+
+
+def test_w_is_built_once_per_spec(monkeypatch):
+    # after one W the spec holds it: psi, the bulk potential and the checks
+    # read it and never build a Z_b again, with the values of a fresh spec
+    import sftoric.potential as potential
+
+    def values(spec):
+        d, k = spec.fan.d, spec.k
+        rational = tuple(Fraction(i - 2, 3 + i % 2) for i in range(d))
+        return (
+            [psi_divisor(spec, unit_vector(d, i)) for i in range(1, d + 1)],
+            psi_divisor(spec, rational),
+            hori_vafa(spec),
+            bulk_superpotential(spec, Fraction(1, 2), unit_vector(d, d)).canonical_string(),
+            verify_linear_identity(spec),
+            d > 3 and verify_homomorphism(spec),
+            jac_dimension(spec, default_q_sample(k)),
+        )
+
+    def refuse(spec, b):
+        raise AssertionError("Z_b built again")
+
+    for name in ("P2", "X3", "X11"):
+        spec = load_bundled(name)[1]
+        expected = values(load_bundled(name)[1])
+        sp = superpotential(spec)
+        with monkeypatch.context() as m:
+            m.setattr(potential, "z_beta", refuse)
+            assert superpotential(spec) is sp
+            assert values(spec) == expected, name
+        # copy and pickle rebuild the spec without the stored W
+        for twin in (copy.copy(spec), pickle.loads(pickle.dumps(spec))):
+            assert not twin._memo
+            assert superpotential(twin) == sp and superpotential(twin) is not sp
 
 
 @settings(max_examples=30, derandomize=True, database=None, deadline=None)

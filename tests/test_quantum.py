@@ -12,7 +12,6 @@ from sftoric.errors import IsP2, NotPrimitivePair, NotSemiFano, ParameterMismatc
 from sftoric.fan import Fan, P2_RAYS, classify_semi_fano
 from sftoric.homology import (
     chern_number,
-    classes_equal,
     fiber_classes,
     linear_relations,
     pair,
@@ -23,6 +22,7 @@ from sftoric.homology import (
 from sftoric.kahler import KahlerSpec
 from sftoric.laurent import QPoly
 from sftoric.potential import superpotential
+from sftoric.verifier import default_q_sample
 from sftoric.surfaces import BUNDLED, load_bundled
 from sftoric.quantum import (
     QHElement,
@@ -37,6 +37,7 @@ from sftoric.quantum import (
 
 from dual_basis import dual_basis
 from fiber_shapes import fiber_shapes
+from jac_products import jac_products
 from window_scan import window_scan
 
 
@@ -219,6 +220,66 @@ def test_disk_classes_are_found_once_per_fan(monkeypatch):
     assert gw_c1_2_point(fan, (0, 0, 1, 1, 1, 0)) == 1
 
 
+def test_products_of_one_surface_store_equal_coefficients_once(bundled):
+    # the relations keep one object per equal coefficient polynomial and per
+    # equal coefficient tuple, with the values of the single products
+    fan, spec = bundled["X11"]
+    relations = quantum_sr_relations(fan, spec)
+    coeffs = [c for _, el in relations for c in (el.scalar, *el.divisor) if not c.is_zero()]
+    assert len({id(c) for c in coeffs}) == len(set(coeffs)) < len(coeffs)
+    assert len({id(c._coeffs) for c in coeffs}) == len({c._coeffs for c in coeffs})
+    for pr, el in relations:
+        assert quantum_product(fan, spec, *pr) == el
+
+
+def _at_sample(spec, el):
+    # a product at the default sample, as jac_products gives it
+    q = default_q_sample(spec.k)
+    assert all(c.is_zero() for c in el.divisor[-2:])
+    return el.scalar.specialize(q), tuple(c.specialize(q) for c in el.divisor[:-2])
+
+
+def test_products_are_read_off_the_jacobian_ring(monkeypatch):
+    # every primitive pair of the 15 surfaces with pairs: the unique x in
+    # H^0 + H^2 with psi(D_i) psi(D_j) - psi(x) in the Jacobian ideal, found
+    # from W alone, is the product of the curve-class rule
+    def refuse(*args):
+        raise AssertionError("the reference read the curve classes")
+
+    count = 0
+    for name in BUNDLED:
+        fan, spec = load_bundled(name)
+        if fan.d == 3:
+            continue
+        w = superpotential(spec).w
+        expected = {pr: _at_sample(spec, el) for pr, el in quantum_sr_relations(fan, spec)}
+        with monkeypatch.context() as m:
+            m.setattr(quantum, "_cores", refuse)
+            m.setattr(quantum, "_classes", refuse)
+            assert jac_products(spec, w) == expected, name
+        count += len(expected)
+    assert count == 167
+
+
+@pytest.mark.parametrize("name", ["X3", "X8", "X11"])
+@pytest.mark.parametrize("c1", [2, 1])
+def test_a_dropped_curve_class_changes_a_jacobian_product(monkeypatch, name, c1):
+    # the reference sees one missing count: without the first class of that
+    # c_1 some product differs from the one read off Jac(W)
+    fan, spec = load_bundled(name)
+    reference = jac_products(spec, superpotential(spec).w)
+    found = quantum._classes
+
+    def dropped(fan):
+        classes = found(fan)
+        return {**classes, c1: classes[c1][1:]}
+
+    monkeypatch.setattr(quantum, "_classes", dropped)
+    got = {pr: _at_sample(spec, el) for pr, el in quantum_sr_relations(fan, spec)}
+    assert got.keys() == reference.keys()
+    assert any(got[pr] != reference[pr] for pr in got)
+
+
 def test_quantum_product_f0(bundled):
     fan, spec = bundled["F0"]
     el13 = quantum_product(fan, spec, 1, 3)
@@ -309,7 +370,7 @@ def test_curve_class_is_its_own_poincare_dual(bundled):
         (1, 2, 0, 0, 0, 0),  # D1 + 2 D2
     ]
     for mine, theirs in zip(dual_basis(x3, paper), paper_dual):
-        assert classes_equal(x3, mine, theirs)
+        assert reduce_class(x3, mine) == reduce_class(x3, theirs)
     for name, (fan, _) in bundled.items():
         if fan.d == 3:
             continue
@@ -330,7 +391,8 @@ def test_curve_class_is_its_own_poincare_dual(bundled):
                     for x, y in zip(left, right):
                         c = pair(fan, x, a)
                         expanded = [e + c * v for e, v in zip(expanded, y)]
-                    assert classes_equal(fan, expanded, a), (name, subset, a)
+                    canon = reduce_class(fan, a)
+                    assert reduce_class(fan, expanded) == canon, (name, subset, a)
 
 
 def test_quantum_product_basis_independence(bundled):

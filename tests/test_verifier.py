@@ -20,6 +20,7 @@ from groebner_oracle import (
     normal_forms,
 )
 from kouchnirenko import newton_dimension
+from mirror_oracle import mirror_mismatches
 from presentations import GENERATORS, presentation
 from sftoric import cli
 from sftoric.errors import DegenerateEdge, InvalidKahlerData, IsP2, OutOfRange, ParameterMismatch
@@ -278,6 +279,36 @@ def test_w_off_the_edge_identity_has_no_dimension(bundled, monkeypatch):
     report = verify_homomorphism(spec)
     assert report.dimension is None and not report.passed
     assert "jacobian-dimension undefined expected 4 FAIL" in report.to_text()
+
+
+# the published table's monomial of one basic disk where the package differs:
+# ray index i and the printed q-exponents (1/q3 on X10, 1/q7 on X11)
+PRINTED = {"X10": (4, (-1, 0, -1, 2, 1, 0)), "X11": (3, (-2, 1, 2, 3, 1, -1, -1))}
+
+
+@pytest.mark.parametrize("name", sorted(PRINTED))
+def test_the_printed_table_entries_fail_the_checks(bundled, monkeypatch, name):
+    # README "What the reproduction found": with the printed monomial in W
+    # the edge through that corner ray does not factor and psi(L_j) is not
+    # z_j dW/dz_j, while the package's W passes both
+    import sftoric.verifier as verifier
+
+    i, printed = PRINTED[name]
+    fan, spec = bundled[name]
+    ours = spec.disk_coefficient(i)
+    assert sum(a != b for a, b in zip(printed, ours)) == 1
+    true = superpotential(spec)
+    swap = LaurentPoly.monomial(
+        spec.k, fan.ray(i), QPoly.monomial(spec.k, printed) - QPoly.monomial(spec.k, ours)
+    )
+    tampered = Superpotential(true.w + swap, true.classes)
+    assert edge_factorisation(spec, true.w) == fan.d and verify_linear_identity(spec)
+    assert edge_factorisation(spec, tampered.w) is None
+    monkeypatch.setattr(verifier, "superpotential", lambda s: tampered)
+    assert not verify_linear_identity(spec)
+    assert jac_dimension(spec, default_q_sample(spec.k)) is None
+    # the open mirror theorem reads only the chain rays, so it passes both
+    assert mirror_mismatches(spec, tampered.w) == [] == mirror_mismatches(spec, true.w)
 
 
 def test_degenerate_edge_leaves_the_dimension_undefined(bundled):
