@@ -316,10 +316,8 @@ def test_w_is_built_once_per_spec(monkeypatch):
 
     def values(spec):
         d, k = spec.fan.d, spec.k
-        rational = tuple(Fraction(i - 2, 3 + i % 2) for i in range(d))
         return (
-            [psi_divisor(spec, unit_vector(d, i)) for i in range(1, d + 1)],
-            psi_divisor(spec, rational),
+            [psi_divisor(spec, D) for D in _psi_cases(spec)],
             hori_vafa(spec),
             bulk_superpotential(spec, Fraction(1, 2), unit_vector(d, d)).canonical_string(),
             verify_linear_identity(spec),
