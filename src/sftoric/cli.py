@@ -72,6 +72,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_superpotential(args) -> int:
+    if args.hori_vafa and (args.bulk_divisor is not None or args.bulk_constant is not None):
+        raise ValueError("--hori-vafa takes neither --bulk-divisor nor --bulk-constant")
     D = a = None
     if args.bulk_divisor is not None:
         D = tuple(_rational(x, "--bulk-divisor") for x in args.bulk_divisor.split(","))

@@ -132,28 +132,13 @@ def gw_c1_1(fan: Fan, alpha: Sequence[int]) -> int:
     return _sphere_count(fan, alpha, 1)
 
 
-def _curve_data(fan: Fan, spec: KahlerSpec) -> dict[int, list]:
-    """What every product D_i * D_j of one surface shares.
-
-    Keyed by c_1 like ``_classes``: (profile, rep, q^area) for each class,
-    with rep the canonical representative; the q-monomials are built per
-    spec.  All products built from it share the exponent tuples of these
-    q-monomials.
-    """
-    k = spec.k
-    return {
-        c1: [(p, canon, QPoly.monomial(k, spec.curve_area(rep))) for rep, p, canon in rows]
-        for c1, rows in _classes(fan).items()
-    }
-
-
 def _check_supported(fan: Fan, spec: KahlerSpec) -> None:
     if fan != spec.fan:
         raise ParameterMismatch(f"{fan} is not the fan of {spec}")
 
 
 def _product(fan: Fan, k: int, data, i: int, j: int, table: dict) -> QHElement:
-    """D_i * D_j from the shared curve data of ``_curve_data``.
+    """D_i * D_j from the curve data that ``_relations`` shares between the pairs.
 
     The H^2 part sums (D_i.a)(D_j.a) q^a [a] over the c_1 = 1 classes; the
     representatives [a] are canonical, so the sum is too.  Its coefficients
@@ -180,6 +165,22 @@ def _product(fan: Fan, k: int, data, i: int, j: int, table: dict) -> QHElement:
     return QHElement(_shared(scalar, table), tuple(_shared(c, table) for c in divisor))
 
 
+@_memoised
+def _relations(spec: KahlerSpec) -> tuple:
+    """((i, j), D_i * D_j) per primitive pair, in ``primitive_pairs`` order; built once per spec.
+
+    The pairs share the curve data (profile, canonical rep, q^area) per class,
+    keyed by c_1 like ``_classes``, and one ``_shared`` table.
+    """
+    fan, k = spec.fan, spec.k
+    data = {
+        c1: [(p, canon, QPoly.monomial(k, spec.curve_area(rep))) for rep, p, canon in rows]
+        for c1, rows in _classes(fan).items()
+    }
+    table: dict = {}
+    return tuple((pr, _product(fan, k, data, *pr, table)) for pr in primitive_pairs(fan))
+
+
 def quantum_product(fan: Fan, spec: KahlerSpec, i: int, j: int) -> QHElement:
     """D_i * D_j for a primitive pair, as an element of H^0 + H^2.
 
@@ -187,28 +188,28 @@ def quantum_product(fan: Fan, spec: KahlerSpec, i: int, j: int) -> QHElement:
               + sum_{c1(a)=1} (D_i.a)(D_j.a) GW(a) q^a [a],
     where [a] = sum_m (D^m.a) D_m for any dual bases {D^m}, {D_m} of H^2 by
     Poincare duality; [a] is reduced modulo linear equivalence.  Checks the
-    pair against ``primitive_pairs`` (IsP2 on P^2) and builds it alone from
-    ``_curve_data``, as ``quantum_sr_relations`` does.  Raises
+    pair against ``primitive_pairs`` (IsP2 on P^2) and reads its entry of
+    the relations that ``quantum_sr_relations`` returns.  Raises
     ParameterMismatch when fan is not spec.fan or i, j are not exact integers.
     """
     _check_supported(fan, spec)
     i, j = _exact((i, j), "ray index pair", integral=True)
     d = fan.d
     i0, j0 = (i - 1) % d + 1, (j - 1) % d + 1
-    if (min(i0, j0), max(i0, j0)) not in primitive_pairs(fan):
-        raise NotPrimitivePair(f"rays {i0}, {j0} span a cone")
-    return _product(fan, spec.k, _curve_data(fan, spec), i0, j0, {})
-
-
-def quantum_sr_relations(fan: Fan, spec: KahlerSpec):
-    """The quantum expansion of D_i D_j for every primitive pair.
-
-    The curve classes, their representatives and q-monomials are built once
-    and shared by all pairs, and so is each equal coefficient.  Raises
-    ParameterMismatch when fan is not spec.fan, IsP2 on P^2 and NotSemiFano
-    off the semi-Fano range.
-    """
     pairs = primitive_pairs(fan)
+    pr = (min(i0, j0), max(i0, j0))
+    if pr not in pairs:
+        raise NotPrimitivePair(f"rays {i0}, {j0} span a cone")
+    return _relations(spec)[pairs.index(pr)][1]
+
+
+def quantum_sr_relations(fan: Fan, spec: KahlerSpec) -> tuple:
+    """The quantum expansion ((i, j), D_i * D_j) of every primitive pair, as a tuple.
+
+    Built once per spec and shared by every caller: later calls return the
+    same tuple.  Raises IsP2 on P^2, then ParameterMismatch when fan is not
+    spec.fan, and NotSemiFano off the semi-Fano range.
+    """
+    primitive_pairs(fan)  # IsP2 on P^2
     _check_supported(fan, spec)
-    data, table = _curve_data(fan, spec), {}
-    return [(pr, _product(fan, spec.k, data, *pr, table)) for pr in pairs]
+    return _relations(spec)

@@ -12,7 +12,10 @@ entries).  Row order is the fan's counterclockwise cyclic order.
 
 Sixteen surfaces ship with the package: the five Fano ones (P2, F0, F1, dP2,
 dP3) and the eleven semi-Fano non-Fano ones X1..X11 with ray lists and
-polytopes transcribed from the classification tables.
+polytopes transcribed from the classification tables.  ``load_bundled``
+returns one shared immutable (Fan, KahlerSpec) pair per name, so what is
+built once per fan or spec (W, the disk and curve classes, the quantum
+relations) is built once per process for a bundled surface.
 """
 
 from __future__ import annotations
@@ -102,5 +105,15 @@ def bundled_text(name: str) -> str:
         return fh.read()
 
 
+# name -> the one (Fan, KahlerSpec) pair of that bundled surface, at most 16
+_LOADED: dict[str, tuple[Fan, KahlerSpec]] = {}
+
+
 def load_bundled(name: str) -> tuple[Fan, KahlerSpec]:
-    return parse_surface(bundled_text(name))
+    """The shared pair of a bundled surface, parsed on first use.
+
+    ``parse_surface(bundled_text(name))`` gives a fresh pair with empty memos.
+    """
+    if name not in BUNDLED or name not in _LOADED:  # bundled_text refuses other names
+        _LOADED.setdefault(name, parse_surface(bundled_text(name)))
+    return _LOADED[name]

@@ -164,7 +164,8 @@ _REPORT_FIELDS = "surface q_sample linear_identity relations dimension expected_
 class VerificationReport(namedtuple("VerificationReport", _REPORT_FIELDS)):
     """Line-oriented record of the QH = Jac verification for one surface.
 
-    ``relations`` lists ((i, j), membership ok) per primitive pair and
+    ``relations`` lists ((i, j), membership ok) per primitive pair, each
+    (i, j) the pair tuple of ``quantum_sr_relations`` itself, and
     ``dimension`` is dim Jac(W) or None.  ``samples_tried`` is [q_sample], the
     one sample the checks ran at: a failed check is final and the default
     sample is chosen in the cone before any check runs.
@@ -267,10 +268,9 @@ def verify_homomorphism(
     linear_ok = verify_linear_identity(spec)
     w = superpotential(spec).w
     pairs, polys = [], []
-    for (i, j), el in quantum_sr_relations(fan, spec):
-        lhs = psi_divisor(spec, unit_vector(fan.d, i))
-        rhs = psi_divisor(spec, unit_vector(fan.d, j))
-        pairs.append((i, j))
+    for pr, el in quantum_sr_relations(fan, spec):
+        lhs, rhs = (psi_divisor(spec, unit_vector(fan.d, i)) for i in pr)
+        pairs.append(pr)
         polys.append((lhs * rhs - psi_qh(spec, el)).specialize_q(sample))
     assert pairs == primitive_pairs(fan)
     certs = cofactor_certificates(fan, jacobian_ideal(w.specialize_q(sample)), polys)

@@ -96,6 +96,21 @@ def test_cli_hori_vafa(capsys):
     assert out.strip() == "q1*z2^-1 + q1^2*q2*z1^-1*z2^-2 + z1 + z2"
 
 
+@pytest.mark.parametrize(
+    "bulk",
+    [
+        ["--bulk-constant", "1"],
+        ["--bulk-divisor", "0,0,0,1"],
+        ["--bulk-divisor=0,0,0,1", "--bulk-constant=1/2"],
+    ],
+)
+def test_cli_hori_vafa_refuses_bulk_options(capsys, bulk):
+    # W_0 is the undeformed leading part: a bulk option would be dropped unseen
+    message = "error: --hori-vafa takes neither --bulk-divisor nor --bulk-constant\n"
+    for name in ("X1", "X3"):
+        assert run(capsys, "superpotential", name, "--hori-vafa", *bulk) == (2, "", message)
+
+
 def test_cli_bulk(capsys):
     rc, out, _ = run(
         capsys, "superpotential", "X1", "--bulk-divisor", "0,0,0,1", "--bulk-constant", "2"

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -22,8 +24,8 @@ from sftoric.homology import (
 from sftoric.kahler import KahlerSpec
 from sftoric.laurent import QPoly
 from sftoric.potential import superpotential
-from sftoric.verifier import default_q_sample
-from sftoric.surfaces import BUNDLED, load_bundled
+from sftoric.verifier import default_q_sample, verify_homomorphism
+from sftoric.surfaces import BUNDLED, bundled_text, load_bundled, parse_surface
 from sftoric.quantum import (
     QHElement,
     c1_one_classes,
@@ -178,14 +180,17 @@ def test_quantum_product_x3_worked_example(bundled):
     assert el.divisor == expected.divisor
 
 
-def test_quantum_product_builds_only_its_pair(bundled, monkeypatch):
-    # one product reads its pair and the curve data, not every relation
+def test_quantum_product_reads_its_pair_from_the_stored_relations(bundled, monkeypatch):
+    # one product is its entry of the relations stored on the spec, read
+    # without a call through quantum_sr_relations
     def refuse(*args):
-        raise AssertionError("quantum_product rebuilt every relation")
+        raise AssertionError("quantum_product called quantum_sr_relations")
 
     monkeypatch.setattr(quantum, "quantum_sr_relations", refuse)
     fan, spec = bundled["X3"]
-    assert quantum_product(fan, spec, 2, 4) == x3_worked_example(spec.k)
+    el = quantum_product(fan, spec, 2, 4)
+    assert el == x3_worked_example(spec.k)
+    assert el is dict(quantum._relations(spec))[(2, 4)]
 
 
 def test_curve_classes_are_found_once_per_fan(bundled, monkeypatch):
@@ -232,6 +237,61 @@ def test_products_of_one_surface_store_equal_coefficients_once(bundled):
         assert quantum_product(fan, spec, *pr) == el
 
 
+def test_load_bundled_shares_one_pair_per_name():
+    for name in BUNDLED:
+        pair = load_bundled(name)
+        assert load_bundled(name) is pair, name
+        fan, spec = parse_surface(bundled_text(name))
+        assert pair[0] == fan and (pair[1].k, pair[1].rows) == (spec.k, spec.rows), name
+    # other names, unhashable ones too, are refused with KeyError as before
+    for name in ("X12", ["X1"]):
+        with pytest.raises(KeyError):
+            load_bundled(name)
+
+
+def test_shared_relations_answer_without_building_a_product(monkeypatch):
+    # after one build the shared spec holds its relations: the products, the
+    # relations and the report never build a product again, and their values
+    # are those of a fresh spec
+    def refuse(*args):
+        raise AssertionError("a product was built again")
+
+    def values(fan, spec):
+        return (
+            quantum_sr_relations(fan, spec),
+            [quantum_product(fan, spec, j, i) for i, j in primitive_pairs(fan)],
+            verify_homomorphism(spec),
+        )
+
+    shared, expected = {}, {}
+    for name in BUNDLED[1:]:
+        shared[name] = load_bundled(name)
+        quantum_sr_relations(*shared[name])
+        expected[name] = values(*parse_surface(bundled_text(name)))
+    monkeypatch.setattr(quantum, "_product", refuse)
+    for name, (fan, spec) in shared.items():
+        assert values(fan, spec) == expected[name], name
+
+
+def test_copies_of_a_shared_spec_rebuild_equal_relations():
+    fan, spec = load_bundled("X8")
+    relations = quantum_sr_relations(fan, spec)
+    for twin in (copy.copy(spec), pickle.loads(pickle.dumps(spec))):
+        assert not twin._memo
+        rebuilt = quantum_sr_relations(twin.fan, twin)
+        assert rebuilt == relations and rebuilt is not relations
+
+
+def test_the_report_keeps_the_pairs_of_the_relation_tuple(bundled):
+    fan, spec = bundled["X11"]
+    relations = quantum_sr_relations(fan, spec)
+    assert type(relations) is tuple and quantum_sr_relations(fan, spec) is relations
+    report = verify_homomorphism(spec)
+    assert len(report.relations) == len(relations)
+    for (pr, _), (reported, _) in zip(relations, report.relations):
+        assert reported is pr
+
+
 def _at_sample(spec, el):
     # a product at the default sample, as jac_products gives it
     q = default_q_sample(spec.k)
@@ -265,8 +325,9 @@ def test_products_are_read_off_the_jacobian_ring(monkeypatch):
 @pytest.mark.parametrize("c1", [2, 1])
 def test_a_dropped_curve_class_changes_a_jacobian_product(monkeypatch, name, c1):
     # the reference sees one missing count: without the first class of that
-    # c_1 some product differs from the one read off Jac(W)
-    fan, spec = load_bundled(name)
+    # c_1 some product differs from the one read off Jac(W); a fresh spec,
+    # since the shared one of load_bundled may already hold its relations
+    fan, spec = parse_surface(bundled_text(name))
     reference = jac_products(spec, superpotential(spec).w)
     found = quantum._classes
 
