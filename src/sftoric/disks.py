@@ -4,8 +4,8 @@ A disk class is a basic class beta_i plus a sphere part alpha = sum s_k D_k.
 The invariant n_b depends only on i and on the class of alpha in H_2(X), and
 it is 1 exactly for the classes that ``enumerate_admissible`` lists: alpha = 0
 (basic classes always count one), or D_i^2 = -2 and alpha is supported on the
-maximal (-2)-chain through D_i (a tuple of ray indices, as
-``Fan.minus_two_chains`` gives it) as a contiguous interval of that tuple
+(-2)-chain through D_i (the rays strictly between two consecutive corners,
+as ``Fan.minus_two_chains`` gives them) as a contiguous interval of that tuple
 containing i, with the multiplicity sequence admissible centered at i:
 
 * every value is a positive integer,
@@ -14,8 +14,9 @@ containing i, with the multiplicity sequence admissible centered at i:
 * both endpoint values are at most one.
 
 ``open_gw`` decides n_b by looking up (i, class of alpha) in that list, so
-two vectors alpha of one class get one count.  Every other class of Maslov
-index two has n_b = 0.
+two vectors alpha of one class get one count; it and ``potential.z_beta``
+refuse a malformed class alike.  Every other class of Maslov index two has
+n_b = 0.
 """
 
 from __future__ import annotations
@@ -69,6 +70,15 @@ def admissible_sequences(m1: int, m2: int, center: int) -> Iterator[dict[int, in
         yield {m1 + i: vals[i] for i in range(n + 1)}
 
 
+def _checked_class(fan: Fan, b: DiskClass) -> DiskClass:
+    """b with exact integer entries, else ParameterMismatch, as for b.i off 1..d."""
+    (i,) = _exact((b.i,), "basic index", integral=True)
+    b = DiskClass(i, _exact(b.alpha, "sphere part", integral=True))
+    if not 1 <= b.i <= fan.d:
+        raise ParameterMismatch(f"basic index {b.i} is not a ray index 1..{fan.d}")
+    return b
+
+
 def open_gw(fan: Fan, b: DiskClass) -> int:
     """n_b for a Maslov index two class, read off ``enumerate_admissible``.
 
@@ -78,10 +88,7 @@ def open_gw(fan: Fan, b: DiskClass) -> int:
     exact integers, 1 <= b.i <= d and alpha has one entry per ray,
     WrongMaslov off Maslov index two and NotSemiFano off the semi-Fano range.
     """
-    (i,) = _exact((b.i,), "basic index", integral=True)
-    b = DiskClass(i, _exact(b.alpha, "sphere part", integral=True))
-    if not 1 <= b.i <= fan.d:
-        raise ParameterMismatch(f"basic index {b.i} is not a ray index 1..{fan.d}")
+    b = _checked_class(fan, b)
     if maslov_index(fan, b) != 2:
         raise WrongMaslov(f"class has Maslov index {maslov_index(fan, b)}, not 2")
     target = reduce_class(fan, b.alpha)

@@ -32,19 +32,20 @@ class DegenerateEdge(ToricError):
 
 
 class InvalidKahlerData(ToricError):
-    """A parameter count k that is not an int >= 0, rows that are not a sequence,
-    do not fit the fan or are not exact integers, or no grid point t makes every
-    edge positive."""
+    """Rows that are not a sequence, do not fit the fan, are not exact integers
+    or differ in width (the width is the parameter count k), or no grid point t
+    makes every edge positive."""
 
 
 # --- mismatched inputs ---
 
 class ParameterMismatch(ToricError):
-    """Inputs that do not match: parameter counts, fan vs KahlerSpec, a class
-    vector that is not a sequence with one entry per ray, a basic index off
-    1..d, an exponent vector that is not a sequence, or an inexact value: a
-    float, str or None where an int or a Fraction is needed (as in solve_linear),
-    or a non-integer in an exponent vector, a disk or curve class or an index."""
+    """Inputs that do not match: parameter counts, fan vs KahlerSpec, a
+    non-LaurentPoly where one is needed, a class vector that is not a sequence
+    with one entry per ray, a basic index off 1..d, an exponent vector that is
+    not a sequence, or an inexact value: a float, str or None where an int or a
+    Fraction is needed (as in solve_linear), or a non-integer in an exponent
+    vector, a disk or curve class or an index."""
 
 
 class OutOfRange(ToricError):

@@ -3,8 +3,9 @@
 A fan is stored as its cyclically ordered list of primitive ray generators
 v_1, ..., v_d (strictly counterclockwise, adjacent determinants +1).  Ray and
 divisor indices are 1-based throughout, matching the labels D_1..D_d, and all
-index arithmetic is cyclic.  A (-2)-chain is a plain tuple of such indices in
-cyclic order along the chain.
+index arithmetic is cyclic.  A (-2)-chain is the tuple of rays strictly
+between two consecutive corners (rays with D^2 != -2); on a semi-Fano fan it
+is the interior of an edge of the Newton polygon Delta = conv(rays).
 """
 
 from __future__ import annotations
@@ -110,35 +111,31 @@ class Fan:
         return all(s >= -1 for s in self.self_intersections())
 
     @_memoised
+    def _corner_pairs(self) -> tuple[tuple[int, int], ...]:
+        """Each corner a (a ray with D^2 != -2) with the next one b, a < b <= a + d."""
+        # a corner exists, as all D_i^2 = -2 gives v_i = v_0 + i(v_1 - v_0), never closing
+        corners = [i for i, s in enumerate(self.self_intersections(), 1) if s != -2]
+        return tuple(zip(corners, corners[1:] + [corners[0] + self.d]))
+
+    @_memoised
     def minus_two_chains(self) -> tuple[tuple[int, ...], ...]:
-        """Maximal cyclic runs of (-2)-divisors as index tuples, sorted by first index.
+        """The rays strictly between consecutive corners, sorted by first index.
 
         Each tuple lists its rays in cyclic order along the chain.  Found once
         per fan, like ``canonical_form``.
         """
-        s = self.self_intersections()
         d = self.d
-        # start scanning just after some non-(-2) ray so runs never split; one
-        # exists, as all D_i^2 = -2 gives v_i = v_0 + i(v_1 - v_0), never closing
-        start = next(k for k in range(d) if s[k] != -2)
-        chains: list[tuple[int, ...]] = []
-        run: list[int] = []
-        for off in range(1, d + 1):
-            k = (start + off) % d
-            if s[k] == -2:
-                run.append(k + 1)
-            elif run:
-                chains.append(tuple(run))
-                run = []
+        runs = (tuple((r - 1) % d + 1 for r in range(a + 1, b)) for a, b in self._corner_pairs())
+        chains = tuple(sorted(run for run in runs if run))
         for chain in chains:  # Prop. on (-2)-chains: midpoint relation
             for j in range(1, len(chain) - 1):
                 prev, mid, nxt = (self.ray(chain[j + t]) for t in (-1, 0, 1))
                 assert (prev[0] + nxt[0], prev[1] + nxt[1]) == (2 * mid[0], 2 * mid[1])
-        chains.sort()  # the chains are disjoint, so this sorts by first index
-        return tuple(chains)
+        return chains
 
     def blowup(self, i: int) -> "Fan":
-        """Star subdivision of the cone spanned by (v_i, v_{i+1}), 1-based."""
+        """Star subdivision of the cone (v_i, v_{i+1}); i is an exact integer, 1-based, cyclic."""
+        (i,) = _exact((i,), "blowup index", integral=True)
         d = self.d
         k = (i - 1) % d
         a, b = self.rays[k], self.rays[(k + 1) % d]

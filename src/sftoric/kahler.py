@@ -8,13 +8,13 @@ exponent vector (C_1, ..., C_k); the C_l may be negative (several bundled
 surfaces need mixed signs).
 
 Every linear form here (file rows, edge lattice lengths and curve areas) is
-a plain tuple of k ints, its coefficients in the t_l.  An area form is
-therefore directly the q-exponent vector of exp(-area).  The rows give the
-Kahler class omega = sum_j row_j D_j, and the area of a curve class alpha is
-omega . alpha through the intersection form; for alpha = D_i this is the
-lattice length of facet i.  Validity of the Kahler data is certified at one
-positive integer sample point, found by a grid search, where every edge has
-strictly positive length.
+a plain tuple of k ints, its coefficients in the t_l, where k is the width
+of the rows.  An area form is directly the q-exponent vector of exp(-area).
+The rows give the Kahler class omega = sum_j row_j D_j, and the area of a
+curve class alpha is omega . alpha through the intersection form; for
+alpha = D_i this is the lattice length of facet i.  Validity of the Kahler
+data is certified at one positive integer sample point, found by a grid
+search, where every edge has strictly positive length.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ def _combination(coeffs: Sequence[int], forms: Sequence[Sequence[int]], k: int) 
 
 
 class KahlerSpec:
-    """A fan together with polytope constants; immutable after validation.
+    """A fan with one row of polytope constants per ray, all k wide; immutable after validation.
 
     Validity is certified at an integer sample point inside the Kahler cone:
     t = (1,...,1) when that works, otherwise the first point (grid search over
@@ -50,9 +50,7 @@ class KahlerSpec:
     # _memo: what fan._memoised built from the spec (the superpotential)
     __slots__ = ("fan", "k", "rows", "name", "sample_point", "_edges", "_memo")
 
-    def __init__(self, fan: Fan, k: int, rows: Sequence[Sequence[int]], name: str = ""):
-        if type(k) is not int or k < 0:
-            raise InvalidKahlerData(f"parameter count {k!r} is not a non-negative int")
+    def __init__(self, fan: Fan, rows: Sequence[Sequence[int]], name: str = ""):
         if not isinstance(rows, Sequence):
             raise InvalidKahlerData(f"rows {rows!r} are not a sequence")
         rows = tuple(_exact(row, "row", InvalidKahlerData, integral=True) for row in rows)
@@ -60,9 +58,10 @@ class KahlerSpec:
             raise InvalidKahlerData(
                 f"{len(rows)} constant rows for a fan with {fan.d} rays"
             )
-        for row in rows:
+        k = len(rows[0])
+        for i, row in enumerate(rows, start=1):
             if len(row) != k:
-                raise InvalidKahlerData(f"row {row} does not have {k} entries")
+                raise InvalidKahlerData(f"row {i} {row} does not have {k} entries like row 1")
         object.__setattr__(self, "fan", fan)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "rows", rows)
@@ -98,7 +97,7 @@ class KahlerSpec:
 
     def __reduce__(self):
         # copy and pickle rebuild through the constructor, which re-validates
-        return (KahlerSpec, (self.fan, self.k, self.rows, self.name))
+        return (KahlerSpec, (self.fan, self.rows, self.name))
 
     @property
     def d(self) -> int:

@@ -390,7 +390,9 @@ def term_string(ze: ZExp, qp: QPoly) -> str:
 
 
 def canonical_string(p: LaurentPoly) -> str:
-    """Deterministic text form; injective on normalized polynomials."""
+    """Deterministic text form, injective on normalized LaurentPolys; else ParameterMismatch."""
+    if not isinstance(p, LaurentPoly):
+        raise ParameterMismatch(f"{p!r} is not a LaurentPoly")
     if p.is_zero():
         return "0"
     return " + ".join(sorted(map(term_string, p._exps, p._coeffs)))

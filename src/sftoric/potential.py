@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Sequence
 
-from .disks import DiskClass, enumerate_admissible
+from .disks import DiskClass, _checked_class, enumerate_admissible
 from .errors import NonIntegralPairing, ParameterMismatch
 from .fan import _memoised
 from .homology import pair
@@ -30,7 +30,8 @@ from .laurent import LaurentPoly, QPoly, _exact, canonical_string
 
 
 def z_beta(spec: KahlerSpec, b: DiskClass) -> LaurentPoly:
-    """The monomial Z_b (a single Laurent term with a single q-monomial)."""
+    """The monomial Z_b (one Laurent term, one q-monomial); b is checked as by ``open_gw``."""
+    b = _checked_class(spec.fan, b)
     base = spec.disk_coefficient(b.i)
     area = spec.curve_area(b.alpha)
     exps = tuple(x + y for x, y in zip(base, area)) if any(area) else base

@@ -88,7 +88,7 @@ def parse_surface(text: str) -> tuple[Fan, KahlerSpec]:
     if not rays:
         raise SurfaceSyntaxError("no rays declared")
     fan = Fan(rays)
-    spec = KahlerSpec(fan, k, rows, name=name)
+    spec = KahlerSpec(fan, rows, name=name)
     return fan, spec
 
 

@@ -17,7 +17,8 @@ Kahler cone.  Each check comes with evidence the package checks itself:
 * Dimension.  By Kouchnirenko's theorem (Polyedres de Newton et nombres de
   Milnor, 1976) dim Jac(W) = 2 area(Delta), which is d = rank H*(X) for a
   smooth fan, when W is nondegenerate on every edge of Delta.  Between
-  consecutive corners a < b (the rays with D^2 != -2) the symbolic W must
+  consecutive corners a < b (the rays with D^2 != -2, whose interior rays
+  are the (-2)-chain of Fan.minus_two_chains) the symbolic W must
   have the edge polynomial q^{C_a} prod_{j=1}^{b-a} (1 + m_j x), with
   m_1 = q^{C_{a+1} - C_a} and m_{j+1} = m_j q^{L_{a+j}} (C_i the facet
   constants, L_i the edge lengths).  Its end coefficients are q-monomials,
@@ -117,15 +118,18 @@ def edge_factorisation(spec: KahlerSpec, w: LaurentPoly) -> int | None:
     """dim Jac(W) = 2 area(Delta) = d on the whole open Kahler cone, or None.
 
     The symbolic w must be supported on the origin and the rays, and each of
-    its edge polynomials must be the product in the module docstring.
+    its edge polynomials, between consecutive corners, must be the product in
+    the module docstring.  A w that is no LaurentPoly over spec.k (a W
+    specialized at a sample, say) raises ParameterMismatch.
     """
     fan, k = spec.fan, spec.k
+    if not isinstance(w, LaurentPoly) or w.k != k:
+        raise ParameterMismatch(f"w is not a LaurentPoly over k={k}")
     fan.require_semi_fano("the Newton polygon argument")
     if not set(w.terms) <= {(0, 0), *fan.rays}:
         return None
     zero = QPoly.zero(k)
-    corners = [i for i in range(1, fan.d + 1) if fan.self_intersection(i) != -2]
-    for a, b in zip(corners, corners[1:] + [corners[0] + fan.d]):
+    for a, b in fan._corner_pairs():
         m = [y - x for x, y in zip(spec.disk_coefficient(a), spec.disk_coefficient(a + 1))]
         f = [QPoly.monomial(k, spec.disk_coefficient(a))]
         for r in range(a + 1, b + 1):

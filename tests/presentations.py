@@ -35,4 +35,4 @@ def presentation(name, M, shift=0, U=None):
         pairs.reverse()
     pairs = pairs[shift:] + pairs[:shift]
     rays, rows = zip(*pairs)
-    return KahlerSpec(Fan(rays), spec.k, rows, name=name)
+    return KahlerSpec(Fan(rays), rows, name=name)

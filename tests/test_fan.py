@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+from chain_runs import chain_runs
 from sftoric.disks import enumerate_admissible
 from sftoric.errors import (
     NotComplete,
@@ -22,6 +23,7 @@ from sftoric.fan import (
     classify_semi_fano,
     fans_isomorphic,
 )
+from sftoric.surfaces import BUNDLED, load_bundled
 
 X1_RAYS = ((1, 0), (0, 1), (-1, -2), (0, -1))
 X3_RAYS = ((1, 0), (0, 1), (-1, -1), (0, -1), (1, -1), (2, -1))
@@ -129,6 +131,32 @@ def test_minus_two_chains_wrap_around():
     assert Fan(X3_RAYS[4:] + X3_RAYS[:4]).minus_two_chains() == ((3,), (6, 1))
 
 
+def chain_comparison_fans() -> list[Fan]:
+    """Every rotation and reflection of the 16 semi-Fano classes, the bundled
+    fans and 300 seeded blow-up words from P^2, many of them not semi-Fano."""
+    fans = []
+    for fan in classify_semi_fano(9):
+        reflected = tuple((y, x) for x, y in reversed(fan.rays))
+        for rays in (fan.rays, reflected):
+            fans += [Fan(rays[r:] + rays[:r]) for r in range(len(rays))]
+    fans += [load_bundled(name)[0] for name in BUNDLED]
+    rng = random.Random(28)
+    for _ in range(300):
+        fan = Fan(P2_RAYS)
+        for _ in range(rng.randrange(1, 7)):
+            fan = fan.blowup(rng.randrange(1, fan.d + 1))
+        fans.append(fan)
+    return fans
+
+
+def test_minus_two_chains_match_the_cyclic_runs():
+    fans = chain_comparison_fans()
+    assert len(fans) == 192 + 16 + 300
+    assert sum(not fan.is_semi_fano() for fan in fans) == 123
+    for fan in fans:
+        assert fan.minus_two_chains() == chain_runs(fan), fan
+
+
 def test_minus_two_chain_geometry(bundled):
     # midpoint relation and collinear heads along every chain
     for name, (fan, _) in bundled.items():
@@ -152,6 +180,16 @@ def test_blowup_examples():
     f0 = Fan(F0_RAYS)
     up = f0.blowup(1)
     assert up.ray(2) == (1, 1) and up.self_intersection(2) == -1
+
+
+def test_blowup_index_is_an_exact_integer():
+    p2 = Fan(P2_RAYS)
+    for i in ("1", 1.5, None):
+        with pytest.raises(ParameterMismatch, match="^blowup index"):
+            p2.blowup(i)
+    # integral Fractions are integers, and the index stays cyclic
+    assert p2.blowup(Fraction(2)) == p2.blowup(2)
+    assert p2.blowup(0) == p2.blowup(3) and p2.blowup(4) == p2.blowup(1)
 
 
 def test_blowup_self_intersection_bookkeeping():

@@ -168,25 +168,23 @@ def test_disk_coefficient_examples(bundled):
 def test_invalid_kahler_data():
     fan = Fan(((1, 0), (0, 1), (-1, -1)))
     with pytest.raises(DegenerateEdge, match="^edge 1 has identically zero length$"):
-        KahlerSpec(fan, 1, [(0,), (0,), (0,)])  # point polytope, all edges zero
+        KahlerSpec(fan, [(0,), (0,), (0,)])  # point polytope, all edges zero
     with pytest.raises(InvalidKahlerData, match="^2 constant rows for a fan with 3 rays$"):
-        KahlerSpec(fan, 1, [(0,), (0,)])  # row count
-    with pytest.raises(InvalidKahlerData, match=r"^row \(0,\) does not have 2 entries$"):
-        KahlerSpec(fan, 2, [(0,), (0,), (1,)])  # row width
+        KahlerSpec(fan, [(0,), (0,)])  # row count
+    # rows of unequal width: the first that differs from row 1 is named
+    with pytest.raises(InvalidKahlerData, match=r"^row 2 \(1,\) does not have 2 entries like row 1$"):
+        KahlerSpec(fan, [(0, 0), (1,), (1, 2, 3)])
     # rows that are not a sequence: a set has no order and drops repeated rows
     for rows in (5, {(1,), (2,), (3,)}, iter([(1,), (1,), (1,)])):
         with pytest.raises(InvalidKahlerData, match="^rows .* are not a sequence$"):
-            KahlerSpec(fan, 1, rows)
-    for k in (1.0, True, -1):  # the parameter count is a non-negative int
-        with pytest.raises(InvalidKahlerData, match=f"^parameter count {k} is not"):
-            KahlerSpec(fan, k, [(1,), (1,), (1,)])
+            KahlerSpec(fan, rows)
     with pytest.raises(InvalidKahlerData, match="^no small positive integer point"):
         # a valid t-form mix that is never positive: c3 with the wrong sign
-        KahlerSpec(fan, 1, [(0,), (0,), (-1,)])
+        KahlerSpec(fan, [(0,), (0,), (-1,)])
     # a segment: F0 with only D2 weighted; the first zero edge is edge 2
     f0 = Fan(((1, 0), (0, 1), (-1, 0), (0, -1)))
     with pytest.raises(DegenerateEdge, match="^edge 2 has identically zero length$"):
-        KahlerSpec(f0, 2, [(0, 0), (1, 0), (0, 0), (0, 0)])
+        KahlerSpec(f0, [(0, 0), (1, 0), (0, 0), (0, 0)])
 
 
 def test_curve_area_length_mismatch(bundled):

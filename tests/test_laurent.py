@@ -198,6 +198,12 @@ def test_canonical_string_examples():
     assert canonical_string(q) == "(1 - q1)*z1 + -3/2 + -q2*z1^2"
 
 
+def test_canonical_string_refuses_what_is_not_a_laurent_poly():
+    for p in (QPoly.one(1), None, "z1"):
+        with pytest.raises(ParameterMismatch, match="is not a LaurentPoly$"):
+            canonical_string(p)
+
+
 def test_qpoly_string_order():
     k = 3
     p = QPoly.one(k) + qmono(k, (0, 1, 1)) + qmono(k, (0, 0, 1))

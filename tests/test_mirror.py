@@ -43,7 +43,7 @@ def test_random_kahler_rows_satisfy_the_open_mirror_theorem(name, moves):
         rows[j % fan.d][l % spec.k] += step
     heights = [sum(c * t for c, t in zip(row, spec.sample_point)) for row in rows]
     assume(all(sum(g * h for g, h in zip(line, heights)) > 0 for line in gram_matrix(fan)))
-    spec = KahlerSpec(fan, spec.k, rows, name)
+    spec = KahlerSpec(fan, rows, name)
     for chain in fan.minus_two_chains():
         lengths = [spec.edge_length(r) for r in chain]
         matrix = [[length[l] for length in lengths] for l in range(spec.k)]

@@ -58,6 +58,26 @@ def test_z_beta_examples(bundled):
     )
 
 
+def test_z_beta_checks_its_disk_class_as_open_gw_does(bundled):
+    fan, x3 = bundled["X3"]
+    zero = (0,) * fan.d
+    for i in (0, 99, -1):  # an index off 1..d is refused, not read cyclically
+        with pytest.raises(ParameterMismatch, match=f"^basic index {i} is not a ray index 1..6$"):
+            z_beta(x3, DiskClass(i, zero))
+    for i in (1.5, "1", None):
+        with pytest.raises(ParameterMismatch, match="^basic index .* is not a sequence of exact"):
+            z_beta(x3, DiskClass(i, zero))
+    with pytest.raises(ParameterMismatch, match="^sphere part"):
+        z_beta(x3, DiskClass(1, (Fraction(1, 2),) + zero[1:]))
+    with pytest.raises(ParameterMismatch):
+        z_beta(x3, DiskClass(1, (0, 0)))  # one entry per ray
+    for b in (DiskClass(0, zero), DiskClass(1.5, zero), DiskClass(1, (0, 0))):
+        with pytest.raises(ParameterMismatch):
+            open_gw(fan, b)
+    # an integral Fraction is the integer it equals
+    assert z_beta(x3, DiskClass(Fraction(4), zero)) == z_beta(x3, DiskClass(4, zero))
+
+
 def test_superpotentials_match_published_tables(bundled):
     for name in BUNDLED_NON_FANO:
         _, spec = bundled[name]
@@ -74,7 +94,7 @@ def test_superpotential_p2(bundled):
 
 def test_superpotential_rejects_non_semi_fano():
     fan = Fan(((1, 0), (0, 1), (-1, -3), (0, -1)))
-    spec = KahlerSpec(fan, 2, [(0, 0), (0, 0), (3, 1), (1, 0)])
+    spec = KahlerSpec(fan, [(0, 0), (0, 0), (3, 1), (1, 0)])
     with pytest.raises(NotSemiFano):
         superpotential(spec)
     with pytest.raises(NotSemiFano):
@@ -180,7 +200,7 @@ def test_entries_must_be_exact(name, bad, data):
         ),
         "row": (
             [x for row in spec.rows for x in row],
-            lambda e: repr(KahlerSpec(fan, k, [e[r * k : (r + 1) * k] for r in range(d)]).rows),
+            lambda e: repr(KahlerSpec(fan, [e[r * k : (r + 1) * k] for r in range(d)]).rows),
             InvalidKahlerData,
             InvalidKahlerData,
         ),

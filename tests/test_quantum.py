@@ -405,7 +405,7 @@ def test_quantum_products_reject_non_semi_fano():
     # the Hirzebruch surface F3 has D2^2 = -3; its curve classes are not the
     # ones the enumeration knows, so no count or product may be given for it
     fan = Fan(((1, 0), (0, 1), (-1, 3), (0, -1)))
-    spec = KahlerSpec(fan, 2, ((0, 0), (0, 0), (1, 0), (0, 1)), name="F3")
+    spec = KahlerSpec(fan, ((0, 0), (0, 0), (1, 0), (0, 1)), name="F3")
     for count in (c1_two_classes, c1_one_classes):
         with pytest.raises(NotSemiFano, match="curve class enumeration"):
             count(fan)

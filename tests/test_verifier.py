@@ -24,6 +24,7 @@ from mirror_oracle import mirror_mismatches
 from presentations import GENERATORS, presentation
 from sftoric import cli
 from sftoric.errors import DegenerateEdge, InvalidKahlerData, IsP2, OutOfRange, ParameterMismatch
+from sftoric.fan import Fan
 from sftoric.homology import linear_relations, solve_linear, unit_vector
 from sftoric.kahler import KahlerSpec
 from sftoric.laurent import LaurentPoly, QPoly
@@ -263,6 +264,32 @@ def test_edge_polynomials_factor_in_every_presentation(name):
             assert jac_dimension(spec, sample) == reference == spec.fan.d, (M, shift)
 
 
+def test_edge_factorisation_refuses_a_w_it_cannot_judge(bundled):
+    # X3's own W specialized at the default sample is over k = 0, not k = 4
+    _, spec = bundled["X3"]
+    w = superpotential(spec).w
+    for other in (w.specialize_q(default_q_sample(spec.k)), LaurentPoly.zero(3), QPoly.one(4)):
+        with pytest.raises(ParameterMismatch, match="^w is not a LaurentPoly over k=4$"):
+            edge_factorisation(spec, other)
+    assert edge_factorisation(spec, w) == 6
+
+
+def test_chains_and_the_corner_walk_read_one_helper(bundled, monkeypatch):
+    # the (-2)-chains and the edges of the dimension check both come from
+    # Fan._corner_pairs: with it broken, neither can be computed
+    _, spec = bundled["X3"]
+    w = superpotential(spec).w
+
+    def broken(fan):
+        raise RuntimeError("no corners")
+
+    monkeypatch.setattr(Fan, "_corner_pairs", broken)
+    with pytest.raises(RuntimeError, match="^no corners$"):
+        Fan(spec.fan.rays).minus_two_chains()  # a fresh fan, nothing memoised
+    with pytest.raises(RuntimeError, match="^no corners$"):
+        edge_factorisation(spec, w)
+
+
 def test_w_off_the_edge_identity_has_no_dimension(bundled, monkeypatch):
     # one q-monomial more on the (-2)-ray (0,-1) of X1 breaks the product on
     # its edge: the dimension is undefined and the report fails on that line
@@ -432,7 +459,7 @@ def test_every_accepted_kahler_class_verifies(name, k, entries):
     # at its certified point) lies in the cone and the verification passes
     fan = load_bundled(name)[0]
     rows = [entries[3 * i : 3 * i + k] for i in range(fan.d)]
-    _assert_accepted_rows_verify(fan, k, rows, name)
+    _assert_accepted_rows_verify(fan, rows, name)
 
 
 @settings(max_examples=30, derandomize=True, database=None, deadline=None)
@@ -446,18 +473,18 @@ def test_every_accepted_kahler_class_verifies_on_five_and_six_rays(name, entries
     fan, spec = load_bundled(name)
     steps = [entries[4 * i : 4 * i + spec.k] for i in range(fan.d)]
     rows = [[c + e for c, e in zip(row, step)] for row, step in zip(spec.rows, steps)]
-    _assert_accepted_rows_verify(fan, spec.k, rows, name)
+    _assert_accepted_rows_verify(fan, rows, name)
 
 
-def _assert_accepted_rows_verify(fan, k, rows, name):
+def _assert_accepted_rows_verify(fan, rows, name):
     try:
-        spec = KahlerSpec(fan, k, rows, name)
+        spec = KahlerSpec(fan, rows, name)
     except (InvalidKahlerData, DegenerateEdge):
         assume(False)
     assert edge_factorisation(spec, superpotential(spec).w) == fan.d
     report = verify_homomorphism(spec)
     fallback = tuple(Fraction(1, 2**t) for t in spec.sample_point)
-    assert report.q_sample in (default_q_sample(k), fallback)
+    assert report.q_sample in (default_q_sample(spec.k), fallback)
     assert off_cone_edge(spec, report.q_sample) is None
     assert report.passed and report.dimension == fan.d
 
