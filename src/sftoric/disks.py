@@ -13,17 +13,25 @@ containing i, with the multiplicity sequence admissible centered at i:
 * s_j >= s_{j+1} >= s_j - 1 from the center on,
 * both endpoint values are at most one.
 
+Padded with zeros to the whole n-ray chain, centered at position p, such a
+sequence is one choice of rises L in [0, p] and falls R in [p, n), as many of
+each and at least one: s_j = #{l in L : l <= j} - #{r in R : r < j}.  So
+there are C(n+1, p+1) - 1 of them, and with the basic class the ray a+j
+between consecutive corners a < b carries C(b-a, j) counted classes, the
+terms of the edge product q^{C_a} prod_j (1 + m_j x) that
+``verifier.edge_factorisation`` checks on W.
+
 ``open_gw`` decides n_b by looking up (i, class of alpha) in that list, so
-two vectors alpha of one class get one count; it and ``potential.z_beta``
-refuse a malformed class alike.  Every other class of Maslov index two has
-n_b = 0.
+two vectors alpha of one class get one count; it, ``maslov_index`` and
+``potential.z_beta`` refuse a malformed class alike.  Every other class of
+Maslov index two has n_b = 0.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterator
-from itertools import product
+from itertools import combinations
 
 from .errors import ParameterMismatch, WrongMaslov
 from .fan import Fan, _memoised
@@ -45,29 +53,18 @@ class DiskClass(namedtuple("DiskClass", "i alpha")):
 
 
 def maslov_index(fan: Fan, b: DiskClass) -> int:
-    """mu(beta_i + alpha) = 2 + 2 c_1(alpha)."""
-    return 2 + 2 * chern_number(fan, b.alpha)
+    """mu(beta_i + alpha) = 2 + 2 c_1(alpha); ParameterMismatch for a malformed class."""
+    return 2 + 2 * chern_number(fan, _checked_class(fan, b).alpha)
 
 
-def admissible_sequences(m1: int, m2: int, center: int) -> Iterator[dict[int, int]]:
-    """Generate every admissible sequence on [m1, m2] with the given center.
-
-    Constructive: climb from 1 at m1 by steps in {0, +1} up to the center,
-    then descend by steps in {0, -1}, keeping the final value at 1.  This is
-    exactly the set of admissible sequences of the module docstring (checked
-    against brute force in the tests).
-    """
-    if not m1 <= center <= m2:
-        return
-    n = m2 - m1
-    for steps in product((0, 1), repeat=n):
-        vals = [1]
-        for i in range(n):
-            idx = m1 + i
-            vals.append(vals[-1] + steps[i] if idx < center else vals[-1] - steps[i])
-        if vals[-1] != 1 or any(v < 1 for v in vals):
-            continue
-        yield {m1 + i: vals[i] for i in range(n + 1)}
+def _chain_parts(n: int, p: int) -> Iterator[tuple[int, ...]]:
+    """Every admissible tuple on an n-ray chain centered at position p, by rises and falls."""
+    for size in range(1, min(p + 1, n - p) + 1):
+        for rises in combinations(range(p + 1), size):
+            for falls in combinations(range(p, n), size):
+                yield tuple(
+                    sum(r <= j for r in rises) - sum(f < j for f in falls) for j in range(n)
+                )
 
 
 def _checked_class(fan: Fan, b: DiskClass) -> DiskClass:
@@ -96,20 +93,6 @@ def open_gw(fan: Fan, b: DiskClass) -> int:
     return 1 if any(reduce_class(fan, alpha) == target for alpha in same_i) else 0
 
 
-def chain_sequences(chain: tuple[int, ...], i: int) -> Iterator[dict[int, int]]:
-    """Every admissible multiplicity sequence on the chain centered at ray i.
-
-    The chain is a tuple of ray indices as ``Fan.minus_two_chains`` gives it.
-    Keyed by ray index: every interval [lo, hi] of chain positions containing
-    the center, then every admissible sequence on it.
-    """
-    center = chain.index(i)
-    for lo in range(center + 1):
-        for hi in range(center, len(chain)):
-            for seq in admissible_sequences(lo, hi, center):
-                yield {chain[p]: v for p, v in seq.items()}
-
-
 def enumerate_admissible(fan: Fan) -> list[DiskClass]:
     """All Maslov index two classes with n_b = 1, in a deterministic order.
 
@@ -124,10 +107,10 @@ def _admissible(fan: Fan) -> tuple[DiskClass, ...]:
     fan.require_semi_fano("the disk count formula")
     out = [DiskClass.basic(fan, i) for i in range(1, fan.d + 1)]
     for chain in fan.minus_two_chains():
-        for i in chain:
-            for seq in chain_sequences(chain, i):
+        for p, i in enumerate(chain):
+            for part in _chain_parts(len(chain), p):
                 alpha = [0] * fan.d
-                for k, v in seq.items():
+                for k, v in zip(chain, part):
                     alpha[k - 1] = v
                 out.append(DiskClass(i, tuple(alpha)))
     return tuple(sorted(out, key=lambda b: (b.i, b.total_multiplicity(), b.alpha)))

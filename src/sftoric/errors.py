@@ -45,7 +45,9 @@ class ParameterMismatch(ToricError):
     with one entry per ray, a basic index off 1..d, an exponent vector that is
     not a sequence, or an inexact value: a float, str or None where an int or a
     Fraction is needed (as in solve_linear), or a non-integer in an exponent
-    vector, a disk or curve class or an index."""
+    vector, a disk or curve class (maslov_index, curve_area) or an index (the
+    ray index of Fan.ray, Fan.self_intersection, KahlerSpec.edge_length and
+    KahlerSpec.disk_coefficient included)."""
 
 
 class OutOfRange(ToricError):

@@ -88,11 +88,15 @@ class Fan:
         return len(self.rays)
 
     def ray(self, i: int) -> Vec:
-        """Ray generator v_i, 1-based and cyclic in i."""
+        """Ray generator v_i, 1-based and cyclic in i; i is an exact integer."""
+        if type(i) is not int:  # an int, the hot case, skips the check
+            (i,) = _exact((i,), "ray index", integral=True)
         return self.rays[(i - 1) % self.d]
 
     def self_intersection(self, i: int) -> int:
-        """D_i^2 = -det(v_{i-1}, v_{i+1})."""
+        """D_i^2 = -det(v_{i-1}, v_{i+1}); i is an exact integer, cyclic."""
+        if type(i) is not int:
+            (i,) = _exact((i,), "ray index", integral=True)
         return -det(self.ray(i - 1), self.ray(i + 1))
 
     def self_intersections(self) -> tuple[int, ...]:

@@ -104,7 +104,9 @@ class KahlerSpec:
         return self.fan.d
 
     def edge_length(self, i: int) -> tuple[int, ...]:
-        """Lattice length of the facet T_i normal to v_i."""
+        """Lattice length of the facet T_i normal to v_i; i is an exact integer, cyclic."""
+        if type(i) is not int:
+            (i,) = _exact((i,), "ray index", integral=True)
         return self._edges[(i - 1) % self.d]
 
     def curve_area(self, alpha: Sequence[int]) -> tuple[int, ...]:
@@ -113,13 +115,16 @@ class KahlerSpec:
         The area of the divisor D_k as a curve is the lattice length of its
         facet; the result is linear in alpha and invariant under adding the
         linear-equivalence relations (the polygon closes up).  Raises
-        ParameterMismatch unless alpha has one entry per ray.
+        ParameterMismatch unless alpha has one exact integer per ray.
         """
         _check_length(self.fan, alpha)
+        alpha = _exact(alpha, "curve class", integral=True)
         return _combination(alpha, self._edges, self.k)
 
     def disk_coefficient(self, i: int) -> tuple[int, ...]:
-        """q-exponent vector of the basic disk class beta_i: exp(c_i) = prod q_l^{C_l}."""
+        """q-exponent vector of the basic class beta_i, exp(c_i) = prod q_l^{C_l}; i cyclic."""
+        if type(i) is not int:
+            (i,) = _exact((i,), "ray index", integral=True)
         return self.rows[(i - 1) % self.d]
 
     def __repr__(self) -> str:

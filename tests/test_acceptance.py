@@ -7,7 +7,7 @@ import time
 from itertools import product
 
 from appendix_data import EXPECTED_W, build_signed, build_unit, X3_PSI
-from sftoric.disks import admissible_sequences
+from sftoric.disks import _chain_parts
 from sftoric.fan import Fan, classify_semi_fano, fans_isomorphic
 from sftoric.homology import unit_vector
 from sftoric.laurent import LaurentPoly, QPoly, canonical_string
@@ -136,10 +136,7 @@ def test_criterion_7_property_suites(bundled):
                     if i >= center
                 )
             }
-            generated = {
-                tuple(seq[i] for i in range(length))
-                for seq in admissible_sequences(0, length - 1, center)
-            }
+            generated = {part for part in _chain_parts(length, center) if all(part)}
             ok = ok and generated == admissible
     # (b) midpoint relation on every (-2)-chain of every bundled fan
     for fan, _ in bundled.values():

@@ -1,11 +1,14 @@
 import random
+from collections import Counter
+from fractions import Fraction
 from itertools import product
+from math import comb
 
 import pytest
 
 from sftoric.disks import (
     DiskClass,
-    admissible_sequences,
+    _chain_parts,
     enumerate_admissible,
     maslov_index,
     open_gw,
@@ -13,6 +16,8 @@ from sftoric.disks import (
 from sftoric.errors import ParameterMismatch, WrongMaslov
 from sftoric.fan import Fan, P2_RAYS
 from sftoric.homology import linear_relations
+from step_sequences import step_filter_classes
+from test_fan import chain_comparison_fans
 
 
 def dc(fan, i, **mult):
@@ -49,11 +54,32 @@ def test_sequence_brute_force_oracle():
                 for values in product(range(1, 6), repeat=length)
                 if brute_force_admissible(dict(enumerate(values)), center)
             }
-            generated = {
-                tuple(seq[i] for i in range(length))
-                for seq in admissible_sequences(0, length - 1, center)
-            }
+            generated = {part for part in _chain_parts(length, center) if all(part)}
             assert generated == admissible, (length, center)
+
+
+def semi_fano_comparison_fans():
+    """The distinct semi-Fano fans among ``chain_comparison_fans``."""
+    return list(dict.fromkeys(fan for fan in chain_comparison_fans() if fan.is_semi_fano()))
+
+
+def test_classes_match_the_step_filter():
+    # the rises and falls give the classes the 2^n step filter keeps, in order
+    fans = semi_fano_comparison_fans()
+    assert len(fans) == 218
+    for fan in fans:
+        assert enumerate_admissible(fan) == step_filter_classes(fan), fan
+
+
+def test_class_counts_are_the_edge_binomials():
+    # between consecutive corners a < b, ray a + j carries C(b - a, j) counted
+    # classes, the basic one included: the terms of q^{C_a} prod_j (1 + m_j x)
+    for fan in semi_fano_comparison_fans():
+        counts = Counter(b.i for b in enumerate_admissible(fan))
+        for a, b in fan._corner_pairs():
+            assert counts[a] == 1, fan
+            for j in range(1, b - a):
+                assert counts[(a + j - 1) % fan.d + 1] == comb(b - a, j), (fan, a, j)
 
 
 def test_maslov_examples(bundled):
@@ -62,6 +88,15 @@ def test_maslov_examples(bundled):
         assert maslov_index(x3, DiskClass.basic(x3, i)) == 2
     assert maslov_index(x3, dc(x3, 1, D1=1)) == 2
     assert maslov_index(x3, dc(x3, 2, D6=1)) == 4
+
+
+def test_maslov_index_takes_exact_integer_classes(bundled):
+    x3 = bundled["X3"][0]
+    for b in (DiskClass(1, (0.5, 0, 0, 0, 0, 0)), DiskClass(1, (1.0, 0, 0, 0, 0, 0)),
+              DiskClass(1.5, (0,) * 6), DiskClass(7, (0,) * 6), DiskClass(1, (0, 0, 0, 1, 1))):
+        with pytest.raises(ParameterMismatch):
+            maslov_index(x3, b)
+    assert maslov_index(x3, DiskClass(Fraction(1), (Fraction(1), 0, 0, 0, 0, 0))) == 2
 
 
 def test_admissible_class_examples(bundled):

@@ -182,6 +182,16 @@ def test_blowup_examples():
     assert up.ray(2) == (1, 1) and up.self_intersection(2) == -1
 
 
+def test_ray_accessors_take_exact_integer_indices():
+    x3 = Fan(X3_RAYS)
+    for accessor in (x3.ray, x3.self_intersection):
+        for i in (1.5, "1", 1.0, None, Fraction(1, 2)):
+            with pytest.raises(ParameterMismatch, match="^ray index"):
+                accessor(i)
+        # integral Fractions are integers, and the index stays cyclic
+        assert accessor(Fraction(2)) == accessor(2) == accessor(2 + x3.d)
+
+
 def test_blowup_index_is_an_exact_integer():
     p2 = Fan(P2_RAYS)
     for i in ("1", 1.5, None):

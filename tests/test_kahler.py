@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -194,6 +195,26 @@ def test_curve_area_length_mismatch(bundled):
     for alpha in (5, {1, 2, 3, 4, 5, 6}):  # not a sequence
         with pytest.raises(ParameterMismatch, match="is not a sequence$"):
             x3.curve_area(alpha)
+
+
+def test_curve_area_takes_exact_integers_only(bundled):
+    _, x3 = bundled["X3"]
+    for alpha in ((1.5, 0, 0, 0, 0, 0), (1.0, 0, 0, 0, 0, 0), ("1", 0, 0, 0, 0, 0),
+                  (Fraction(1, 2), 0, 0, 0, 0, 0)):
+        with pytest.raises(ParameterMismatch, match="^curve class"):
+            x3.curve_area(alpha)
+    # integral Fractions are integers
+    assert x3.curve_area((Fraction(1), 0, 0, 0, 0, 0)) == x3.curve_area((1, 0, 0, 0, 0, 0))
+
+
+def test_spec_accessors_take_exact_integer_indices(bundled):
+    _, x3 = bundled["X3"]
+    for accessor in (x3.edge_length, x3.disk_coefficient):
+        for i in (1.5, "1", 1.0, None, Fraction(1, 2)):
+            with pytest.raises(ParameterMismatch, match="^ray index"):
+                accessor(i)
+        # integral Fractions are integers, and the index stays cyclic
+        assert accessor(Fraction(2)) == accessor(2) == accessor(2 + x3.d)
 
 
 def test_kahler_spec_copy_and_pickle_round_trip(bundled):

@@ -215,10 +215,10 @@ def test_disk_classes_are_found_once_per_fan(monkeypatch):
     fan, spec = load_bundled("X3")
     w = superpotential(spec).w
 
-    def refuse(chain, i):
+    def refuse(n, p):
         raise AssertionError("disk classes enumerated again")
 
-    monkeypatch.setattr(disks, "chain_sequences", refuse)
+    monkeypatch.setattr(disks, "_chain_parts", refuse)
     assert superpotential(spec).w == w
     assert open_gw(fan, DiskClass(5, (0, 0, 0, 1, 1, 0))) == 1
     assert quantum_product(fan, spec, 2, 4) == x3_worked_example(spec.k)
