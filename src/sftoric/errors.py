@@ -41,12 +41,14 @@ class InvalidKahlerData(ToricError):
 
 class ParameterMismatch(ToricError):
     """Inputs that do not match: parameter counts, fan vs KahlerSpec, a
-    non-LaurentPoly where one is needed, a class vector that is not a sequence
-    with one entry per ray, a basic index off 1..d, an exponent vector that is
-    not a sequence, or an inexact value: a float, str or None where an int or a
-    Fraction is needed (as in solve_linear), or a non-integer in an exponent
-    vector, a disk or curve class (maslov_index, curve_area) or an index (the
-    ray index of Fan.ray, Fan.self_intersection, KahlerSpec.edge_length and
+    parameter count k that is no exact integer >= 0 (of the polynomial
+    constructors and default_q_sample), a non-LaurentPoly where one is
+    needed, a class vector that is not a sequence with one entry per ray, a
+    basic index off 1..d, an exponent vector that is not a sequence, or an
+    inexact value: a float, str or None where an int or a Fraction is needed
+    (as in solve_linear), or a non-integer in an exponent vector, a disk or
+    curve class (maslov_index, curve_area) or an index (the ray index of
+    Fan.ray, Fan.self_intersection, KahlerSpec.edge_length and
     KahlerSpec.disk_coefficient included)."""
 
 
@@ -80,7 +82,10 @@ class WrongChern(ToricError):
 
 
 class IsP2(ToricError):
-    """Quantum Stanley-Reisner data is defined here only for surfaces != P^2."""
+    """Quantum Stanley-Reisner data is defined here only for surfaces != P^2.
+
+    Raised only by quantum.primitive_pairs, so by its callers: quantum_product,
+    quantum_sr_relations and verify_homomorphism (after its sample check)."""
 
 
 class NotPrimitivePair(ToricError):

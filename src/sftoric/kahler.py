@@ -78,8 +78,6 @@ class KahlerSpec:
         object.__setattr__(self, "_memo", {})
 
     def _find_sample(self) -> tuple[int, ...]:
-        if self.k == 0:
-            return ()
         for bound in range(1, 6):
             for point in product(range(1, bound + 1), repeat=self.k):
                 if max(point) != bound:

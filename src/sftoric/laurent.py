@@ -63,6 +63,15 @@ def _exact(xs, what: str, error: type = ParameterMismatch, integral: bool = Fals
     raise error(f"{what} {xs!r} is not a sequence of {kind}")
 
 
+def _count(k) -> int:
+    """k as an exact integer >= 0 (a parameter count), else ParameterMismatch."""
+    if type(k) is not int:
+        (k,) = _exact((k,), "parameter count", integral=True)
+    if k < 0:
+        raise ParameterMismatch(f"parameter count {k} is negative")
+    return k
+
+
 def _q_values(qvals, k: int) -> tuple:
     """qvals as k exact rationals, else ParameterMismatch; OutOfRange off (0, 1)."""
     qvals = _exact(qvals, "q-sample")
@@ -85,6 +94,7 @@ class _Sparse:
     __slots__ = ("k", "_exps", "_coeffs")
 
     def __new__(cls, k: int, terms: Mapping | None = None):
+        k = _count(k)
         clean = {}
         if terms:
             ring, width = cls._ring, cls._width or k
@@ -107,9 +117,10 @@ class _Sparse:
     @classmethod
     def zero(cls, k: int):
         """The zero polynomial; one shared object per type and k."""
-        z = _ZEROS.get((cls, k))
+        z = _ZEROS.get((cls, k)) if type(k) is int else None  # 2.0 hashes as 2: ints only
         if z is None:
-            z = _ZEROS[cls, k] = _make(cls, k, (), ())
+            k = _count(k)
+            z = _ZEROS.setdefault((cls, k), _make(cls, k, (), ()))
         return z
 
     def __setattr__(self, name, value):
@@ -251,7 +262,7 @@ class QPoly(_Sparse):
 
     @staticmethod
     def constant(k: int, c) -> "QPoly":
-        return QPoly(k, {(0,) * k: c})
+        return QPoly(k, {(0,) * _count(k): c})
 
     @staticmethod
     def one(k: int) -> "QPoly":

@@ -42,13 +42,13 @@ from collections.abc import Sequence
 from fractions import Fraction
 from math import isqrt
 
-from .errors import IsP2, OutOfRange, ParameterMismatch
+from .errors import OutOfRange, ParameterMismatch
 from .fan import Fan
 from .homology import linear_relations, solve_linear, unit_vector
 from .kahler import KahlerSpec
-from .laurent import LaurentPoly, QPoly, _exact, _q_values
+from .laurent import LaurentPoly, QPoly, _count, _q_values
 from .potential import psi_divisor, superpotential
-from .quantum import QHElement, primitive_pairs, quantum_sr_relations
+from .quantum import QHElement, quantum_sr_relations
 
 
 def jacobian_ideal(w: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
@@ -150,9 +150,7 @@ def default_q_sample(k: int) -> tuple[Fraction, ...]:
     Kahler cone, as it does for every bundled surface.  Raises
     ParameterMismatch unless k is an exact integer >= 0.
     """
-    (k,) = _exact((k,), "parameter count", integral=True)
-    if k < 0:
-        raise ParameterMismatch(f"parameter count {k} is negative")
+    k = _count(k)
     primes: list[int] = []
     n = 7
     while len(primes) < k:
@@ -262,27 +260,24 @@ def verify_homomorphism(
 
     With qvals omitted the sample is ``default_q_sample(k)``, or 2^(-t) at
     spec.sample_point off the open Kahler cone; given qvals are checked by
-    ``_q_sample``.  Membership is certified at the sample, the dimension on
-    the whole cone by ``edge_factorisation`` of the symbolic W.
+    ``_q_sample``.  After the sample, ``quantum_sr_relations`` raises IsP2 on
+    P^2.  Membership is certified at the sample, the dimension on the whole
+    cone by ``edge_factorisation`` of the symbolic W.
     """
     fan = spec.fan
-    if fan.d == 3:
-        raise IsP2("quantum Stanley-Reisner verification excludes P^2")
     sample = _q_sample(spec, qvals)
-    linear_ok = verify_linear_identity(spec)
     w = superpotential(spec).w
-    pairs, polys = [], []
-    for pr, el in quantum_sr_relations(fan, spec):
+    relations = quantum_sr_relations(fan, spec)
+    polys = []
+    for pr, el in relations:
         lhs, rhs = (psi_divisor(spec, unit_vector(fan.d, i)) for i in pr)
-        pairs.append(pr)
         polys.append((lhs * rhs - psi_qh(spec, el)).specialize_q(sample))
-    assert pairs == primitive_pairs(fan)
     certs = cofactor_certificates(fan, jacobian_ideal(w.specialize_q(sample)), polys)
     return VerificationReport(
         surface=spec.name or f"{fan.d}-ray surface",
         q_sample=sample,
-        linear_identity=linear_ok,
-        relations=[(pr, cert is not None) for pr, cert in zip(pairs, certs)],
+        linear_identity=verify_linear_identity(spec),
+        relations=[(pr, cert is not None) for (pr, _), cert in zip(relations, certs)],
         dimension=edge_factorisation(spec, w),
         expected_dimension=fan.d,
     )

@@ -35,8 +35,9 @@ def test_parse_surface_errors():
     with pytest.raises(SurfaceSyntaxError) as err:
         parse_surface("surface A\nparams 1\nray 1 0 0\n")
     assert err.value.line == 3
-    with pytest.raises(SurfaceSyntaxError):
+    with pytest.raises(SurfaceSyntaxError, match="^missing surface declaration$") as err:
         parse_surface("params 1\nray 1 0 : 0\n")
+    assert err.value.line is None
     with pytest.raises(SurfaceSyntaxError) as err:
         parse_surface("surface A\nparams 2\nray 1 0 : 0\n")
     assert err.value.line == 3
@@ -49,6 +50,26 @@ def test_parse_surface_errors():
         parse_surface("surface A\nparams 1\nray 0 2 : 0\nray 1 0 : 0\nray -1 -1 : 1\n")
     with pytest.raises(NotCounterclockwise):
         parse_surface("surface A\nparams 1\nray 0 1 : 0\nray 1 0 : 0\nray -1 -1 : 1\n")
+
+
+@pytest.mark.parametrize("text, message, line", [
+    ("surface A\nsurface B\n", "duplicate surface declaration", 2),
+    ("surface\n", "expected: surface NAME", 1),
+    ("surface A B\n", "expected: surface NAME", 1),
+    ("surface A\nparams 1\nparams 1\n", "duplicate params declaration", 3),
+    ("surface A\nparams\n", "expected: params K", 2),
+    ("surface A\nparams 1 2\n", "expected: params K", 2),
+    ("surface A\nparams -1\n", "params must be nonnegative", 2),
+    ("surface A\nray 1 0 : 0\n", "params must come before rays", 2),
+    ("surface A\nparams 1\nedge 1 0 : 0\n", "unknown directive 'edge'", 3),
+    ("surface A\n", "missing params declaration", None),
+    ("surface A\nparams 1\n", "no rays declared", None),
+])
+def test_parse_surface_refusals(text, message, line):
+    with pytest.raises(SurfaceSyntaxError) as err:
+        parse_surface(text)
+    assert str(err.value) == (message if line is None else f"line {line}: {message}")
+    assert err.value.line == line
 
 
 def test_comments_and_blank_lines():

@@ -170,6 +170,8 @@ def test_invalid_kahler_data():
     fan = Fan(((1, 0), (0, 1), (-1, -1)))
     with pytest.raises(DegenerateEdge, match="^edge 1 has identically zero length$"):
         KahlerSpec(fan, [(0,), (0,), (0,)])  # point polytope, all edges zero
+    with pytest.raises(DegenerateEdge, match="^edge 1 has identically zero length$"):
+        KahlerSpec(fan, [(), (), ()])  # no parameters: every edge form is empty
     with pytest.raises(InvalidKahlerData, match="^2 constant rows for a fan with 3 rays$"):
         KahlerSpec(fan, [(0,), (0,)])  # row count
     # rows of unequal width: the first that differs from row 1 is named

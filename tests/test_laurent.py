@@ -83,6 +83,61 @@ def test_parameter_mismatch():
         z1.log_derivative(0)
 
 
+def test_parameter_count_is_an_exact_integer_at_least_zero():
+    from sftoric import laurent
+
+    constructors = (
+        lambda k: QPoly(k, {}), lambda k: LaurentPoly(k, {}),
+        QPoly.zero, LaurentPoly.zero, QPoly.one,
+        lambda k: QPoly.constant(k, 1), lambda k: LaurentPoly.constant(k, 2),
+        lambda k: QPoly.monomial(k, (1, 0)), lambda k: LaurentPoly.monomial(k, (1, 0)),
+    )
+    zeros = dict(laurent._ZEROS)
+    for make in constructors:
+        for k in (1.5, 2.0, "2", [1], None, Fraction(3, 2)):
+            with pytest.raises(ParameterMismatch, match="^parameter count .* is not a sequence"):
+                make(k)
+        for k in (-1, -3, Fraction(-2)):
+            with pytest.raises(ParameterMismatch, match=f"^parameter count {k} is negative$"):
+                make(k)
+    # no zero is cached for a refused k
+    assert laurent._ZEROS == zeros
+    # an integral Fraction is the int it equals
+    assert QPoly(Fraction(2), {}) is QPoly.zero(Fraction(2)) is QPoly.zero(2)
+    for p, q in ((QPoly.one(Fraction(2)), QPoly.one(2)),
+                 (QPoly.monomial(Fraction(2), (1, 0)), QPoly.monomial(2, (1, 0))),
+                 (LaurentPoly.constant(Fraction(1), 3), LaurentPoly.constant(1, 3))):
+        assert p == q and type(p.k) is int
+
+
+def test_sparse_constructor_and_guards():
+    # a Laurent coefficient lives over the polynomial's own k
+    with pytest.raises(ParameterMismatch, match="^coefficient over k=2 in a polynomial over k=1$"):
+        LaurentPoly(1, {(0, 0): QPoly.one(2)})
+    # an exponent vector of integral Fractions is normalised; a float is refused
+    p = QPoly(2, {(Fraction(1), Fraction(-2)): 3})
+    assert p == QPoly.monomial(2, (1, -2), 3)
+    assert all(type(x) is int for e in p.terms for x in e)
+    for e in ((1.0, 0), (Fraction(1, 2), 0)):
+        with pytest.raises(ParameterMismatch, match="^exponent vector .* of exact integers$"):
+            QPoly(2, {e: 1})
+    # an exponent vector has k entries (QPoly) or two (LaurentPoly)
+    with pytest.raises(ParameterMismatch, match=r"^exponent vector \(1,\) does not have length 2$"):
+        QPoly(2, {(1,): 1})
+    with pytest.raises(ParameterMismatch, match=r"^exponent vector \(1, 0, 0\) does not have"):
+        LaurentPoly(0, {(1, 0, 0): QPoly.one(0)})
+    # values are immutable
+    for p in (QPoly.one(1), LaurentPoly.constant(1, 1)):
+        for name in ("k", "_exps", "_coeffs", "other"):
+            with pytest.raises(AttributeError, match=f"^{type(p).__name__} is immutable$"):
+                setattr(p, name, 0)
+    # the two polynomial types do not mix
+    with pytest.raises(TypeError, match="^cannot combine QPoly with LaurentPoly$"):
+        QPoly.one(1) + LaurentPoly.constant(1, 1)
+    with pytest.raises(TypeError, match="^cannot combine LaurentPoly with QPoly$"):
+        LaurentPoly.constant(1, 1) - QPoly.one(1)
+
+
 def test_ring_axioms_randomized():
     # criterion asks for >= 1000 randomized cases in total
     rng = random.Random(2024)

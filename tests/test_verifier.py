@@ -221,8 +221,15 @@ def test_verify_homomorphism_explicit_sample(bundled):
 
 
 def test_verify_homomorphism_p2_raises(bundled):
-    with pytest.raises(IsP2):
-        verify_homomorphism(bundled["P2"][1])
+    # P^2 is refused by quantum.primitive_pairs, after the sample is checked
+    p2 = bundled["P2"][1]
+    for qvals in (None, [Fraction(1, 3)]):
+        with pytest.raises(IsP2, match=r"^P\^2 has no two-element primitive collections$"):
+            verify_homomorphism(p2, qvals)
+    with pytest.raises(OutOfRange, match=r"^q value 2 is not in \(0, 1\)$"):
+        verify_homomorphism(p2, [2])
+    with pytest.raises(ParameterMismatch, match="^2 values for k=1$"):
+        verify_homomorphism(p2, [Fraction(1, 2), Fraction(1, 3)])
 
 
 def test_infinite_dimensional_detected():
@@ -272,6 +279,8 @@ def test_edge_factorisation_refuses_a_w_it_cannot_judge(bundled):
         with pytest.raises(ParameterMismatch, match="^w is not a LaurentPoly over k=4$"):
             edge_factorisation(spec, other)
     assert edge_factorisation(spec, w) == 6
+    # a monomial off the origin and the rays leaves the Newton polygon
+    assert edge_factorisation(spec, w + LaurentPoly.monomial(spec.k, (2, 0))) is None
 
 
 def test_chains_and_the_corner_walk_read_one_helper(bundled, monkeypatch):
