@@ -30,7 +30,8 @@ _RATIONAL = re.compile(r"\s*[+-]?(\d+(/\d+)?|\d*\.\d+|\d+\.)\s*")
 def _rational(text: str, option: str) -> Fraction:
     """The value of an option such as --q; ValueError (exit 2) off the forms above.
 
-    A value past the interpreter's limit on integer digits is refused by name.
+    A value past the interpreter's limit on integer digits or with a zero
+    denominator is refused by name.
     """
     if not _RATIONAL.fullmatch(text):
         raise ValueError(f"{text.strip()!r} is not an integer, a/b or a plain decimal")
@@ -39,6 +40,8 @@ def _rational(text: str, option: str) -> Fraction:
     except ValueError:
         digits = sum(c.isdigit() for c in text)
         raise ValueError(f"{option} value with {digits} digits is too long") from None
+    except ZeroDivisionError:
+        raise ValueError(f"{option} value {text.strip()!r} has a zero denominator") from None
 
 
 def _load(path: str):

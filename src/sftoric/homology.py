@@ -174,6 +174,4 @@ def reduce_class(fan: Fan, x: Sequence) -> Vector:
     xu, xw = x[-2], x[-1]
     lam1 = w2 * xu - u2 * xw
     lam2 = u1 * xw - w1 * xu
-    out = tuple(v - lam1 * a - lam2 * b for v, (a, b) in zip(x, fan.rays))
-    assert not out[-2] and not out[-1]
-    return out
+    return tuple(v - lam1 * a - lam2 * b for v, (a, b) in zip(x, fan.rays))

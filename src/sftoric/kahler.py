@@ -103,8 +103,7 @@ class KahlerSpec:
 
     def edge_length(self, i: int) -> tuple[int, ...]:
         """Lattice length of the facet T_i normal to v_i; i is an exact integer, cyclic."""
-        if type(i) is not int:
-            (i,) = _exact((i,), "ray index", integral=True)
+        (i,) = _exact((i,), "ray index", integral=True)
         return self._edges[(i - 1) % self.d]
 
     def curve_area(self, alpha: Sequence[int]) -> tuple[int, ...]:
@@ -121,8 +120,7 @@ class KahlerSpec:
 
     def disk_coefficient(self, i: int) -> tuple[int, ...]:
         """q-exponent vector of the basic class beta_i, exp(c_i) = prod q_l^{C_l}; i cyclic."""
-        if type(i) is not int:
-            (i,) = _exact((i,), "ray index", integral=True)
+        (i,) = _exact((i,), "ray index", integral=True)
         return self.rows[(i - 1) % self.d]
 
     def __repr__(self) -> str:

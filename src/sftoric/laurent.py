@@ -288,9 +288,6 @@ class QPoly(_Sparse):
             total += m
         return total
 
-    def has_integer_coefficients(self) -> bool:
-        return all(type(c) is int for c in self._coeffs)
-
     def __repr__(self) -> str:
         return f"QPoly({qpoly_string(self)!r})"
 

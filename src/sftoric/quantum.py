@@ -80,8 +80,9 @@ def _classes(fan: Fan) -> dict[int, tuple]:
     core of ``_cores`` in turn, alpha over the disks at a (outer loop) and
     alpha' over those at b, in ``enumerate_admissible`` order.  Each value
     holds (rep, profile, canonical rep) per class, sorted by rep; the first
-    representative enumerated stands for its class.  Raises NotSemiFano off
-    the semi-Fano range.
+    representative enumerated stands for its class.  Every rep has the c_1
+    of its key and entries in 0..d + 2.  Raises NotSemiFano off the
+    semi-Fano range.
     """
     fan.require_semi_fano("the curve class enumeration")
     disks = enumerate_admissible(fan)
@@ -91,8 +92,6 @@ def _classes(fan: Fan) -> dict[int, tuple]:
         for alpha in (disk.alpha for disk in disks if disk.i == a):
             for alpha2 in at_b:
                 rep = tuple(m + x + y for m, x, y in zip(core, alpha, alpha2))
-                assert chern_number(fan, rep) == c1
-                assert all(m <= fan.d + 2 for m in rep)  # enumeration stays inside the bound
                 seen[c1].setdefault(reduce_class(fan, rep), rep)
     return {
         c1: tuple(sorted((r, profile(fan, r), canon) for canon, r in classes.items()))
@@ -141,7 +140,8 @@ def _product(fan: Fan, k: int, data, i: int, j: int, table: dict) -> QHElement:
     """D_i * D_j from the curve data that ``_relations`` shares between the pairs.
 
     The H^2 part sums (D_i.a)(D_j.a) q^a [a] over the c_1 = 1 classes; the
-    representatives [a] are canonical, so the sum is too.  Its coefficients
+    representatives [a] are canonical, so the sum is too.  The product of
+    two integral classes is integral: its coefficients are integers.  They
     are stored through ``laurent._shared`` in table, so the products built
     with one table keep each equal coefficient once.
     """
@@ -159,9 +159,6 @@ def _product(fan: Fan, k: int, data, i: int, j: int, table: dict) -> QHElement:
         for coord, m in enumerate(rep):
             if m:
                 divisor[coord] = divisor[coord] + qa.scale(c * m)
-    # the product of two integral classes is integral
-    assert scalar.has_integer_coefficients()
-    assert all(c.has_integer_coefficients() for c in divisor)
     return QHElement(_shared(scalar, table), tuple(_shared(c, table) for c in divisor))
 
 

@@ -214,6 +214,21 @@ def test_cli_empty_option_values_are_refused(capsys):
         assert run(capsys, command, "X1", option, "") == (2, "", message), option
 
 
+@pytest.mark.parametrize(
+    "command, option, value, bad",
+    [
+        ("verify", "--q", "1/2,1/0", "1/0"),
+        ("verify", "--q", "0/0,1/3", "0/0"),
+        ("superpotential", "--bulk-constant", "1/0", "1/0"),
+        ("superpotential", "--bulk-divisor", "0,1/0,0,0", "1/0"),
+    ],
+)
+def test_cli_zero_denominator_names_its_option(capsys, command, option, value, bad):
+    # one error line names the option and the value, as the digit limit does
+    message = f"error: {option} value {bad!r} has a zero denominator\n"
+    assert run(capsys, command, "X1", option, value) == (2, "", message)
+
+
 NUMBER = r"[+-]?(\d{1,3}(/\d{1,3})?|\d{0,3}\.\d{1,3}|\d{1,3}\.)([eE][+-]?\d{1,7})?"
 
 
